@@ -360,7 +360,7 @@ class SanitizerBatch:
 
     # -- execution -----------------------------------------------------------
 
-    def _run_from(self, start: int) -> Tuple[Optional[int], str, Optional[int]]:
+    def _run_starting_at(self, start: int) -> Tuple[Optional[int], str, Optional[int]]:
         remaining = len(self._pairs) - start
         assert self.binary is not None
         try:
@@ -407,7 +407,7 @@ class SanitizerBatch:
         start = 0
         total = len(self._pairs)
         while start < total:
-            inflight, stderr, returncode = self._run_from(start)
+            inflight, stderr, returncode = self._run_starting_at(start)
             stderr_parts.append(stderr)
             if returncode == 0 and inflight is None:
                 break

@@ -124,19 +124,20 @@ def _has_side_effects(node: ast.Node) -> bool:
     return False
 
 
-def _walk_nodes(node: ast.Node):
+def walk_nodes(node: ast.Node):
+    """Every AST node under ``node`` (itself included), in source order."""
     yield node
     for value in vars(node).values():
         if isinstance(value, ast.Node):
-            yield from _walk_nodes(value)
+            yield from walk_nodes(value)
         elif isinstance(value, list):
             for item in value:
                 if isinstance(item, ast.Node):
-                    yield from _walk_nodes(item)
+                    yield from walk_nodes(item)
 
 
 def _identifiers(node: ast.Node) -> Set[str]:
-    return {n.name for n in _walk_nodes(node) if isinstance(n, ast.Identifier)}
+    return {n.name for n in walk_nodes(node) if isinstance(n, ast.Identifier)}
 
 
 def _declared_globals(program: ast.Program) -> Set[str]:
@@ -177,7 +178,7 @@ def _int_decl_slots(func: ast.FunctionDef) -> List[ast.Declaration]:
     ]
     decls.extend(
         node.init
-        for node in _walk_nodes(func)
+        for node in walk_nodes(func)
         if isinstance(node, ast.For)
         and isinstance(node.init, ast.Declaration)
         and isinstance(node.init.type, ct.IntType)
@@ -202,14 +203,14 @@ def _mut_rename(program: ast.Program, func: ast.FunctionDef, rng: random.Random)
     )
     declared.update(
         node.init.name
-        for node in _walk_nodes(func)
+        for node in walk_nodes(func)
         if isinstance(node, ast.For) and isinstance(node.init, ast.Declaration)
     )
     declared -= top_level  # never rename globals: they are observable state
     if not declared:
         return None
     mapping = {name: f"{name}_rn" for name in declared}
-    for node in _walk_nodes(func):
+    for node in walk_nodes(func):
         if isinstance(node, ast.Identifier) and node.name in mapping:
             node.name = mapping[node.name]
         elif isinstance(node, ast.Declaration) and node.name in mapping:
@@ -222,7 +223,7 @@ def _mut_rename(program: ast.Program, func: ast.FunctionDef, rng: random.Random)
 def _mut_commute(program: ast.Program, func: ast.FunctionDef, rng: random.Random):
     sites = [
         node
-        for node in _walk_nodes(func)
+        for node in walk_nodes(func)
         if isinstance(node, ast.BinaryOp)
         and node.op in _COMMUTATIVE
         and isinstance(node.left.ctype, ct.IntType)
@@ -246,7 +247,7 @@ def _mut_for_to_while(program: ast.Program, func: ast.FunctionDef, rng: random.R
                 and stmt.cond is not None
                 and stmt.step is not None
                 and not any(
-                    isinstance(n, ast.Continue) for n in _walk_nodes(stmt.body)
+                    isinstance(n, ast.Continue) for n in walk_nodes(stmt.body)
                 )
             ):
                 sites.append((stmts, index))
@@ -301,7 +302,7 @@ def _mut_bump_literal(program: ast.Program, func: ast.FunctionDef, rng: random.R
 def _mut_swap_op(program: ast.Program, func: ast.FunctionDef, rng: random.Random):
     sites = [
         node
-        for node in _walk_nodes(func)
+        for node in walk_nodes(func)
         if isinstance(node, ast.BinaryOp) and node.op in _WRONG_OP
     ]
     if not sites:
@@ -332,7 +333,7 @@ def _mut_flip_signedness(
     decls = _int_decl_slots(func)
     casts = [
         node
-        for node in _walk_nodes(func)
+        for node in walk_nodes(func)
         if isinstance(node, ast.Cast) and isinstance(node.target_type, ct.IntType)
     ]
     sites: List = decls + casts
@@ -353,7 +354,7 @@ def _mut_negate_condition(
 ):
     sites = [
         node
-        for node in _walk_nodes(func)
+        for node in walk_nodes(func)
         if isinstance(node, (ast.If, ast.While, ast.DoWhile))
         or (isinstance(node, ast.For) and node.cond is not None)
     ]
@@ -383,7 +384,7 @@ def _mut_drop_stmt(program: ast.Program, func: ast.FunctionDef, rng: random.Rand
 def _mut_bump_return(program: ast.Program, func: ast.FunctionDef, rng: random.Random):
     sites = [
         node
-        for node in _walk_nodes(func)
+        for node in walk_nodes(func)
         if isinstance(node, ast.Return) and node.value is not None
     ]
     if not sites:
@@ -396,12 +397,12 @@ def _mut_bump_return(program: ast.Program, func: ast.FunctionDef, rng: random.Ra
 def _mut_zero_divisor(program: ast.Program, func: ast.FunctionDef, rng: random.Random):
     sites: List = [
         node
-        for node in _walk_nodes(func)
+        for node in walk_nodes(func)
         if isinstance(node, ast.BinaryOp) and node.op in ("/", "%")
     ]
     sites.extend(
         node
-        for node in _walk_nodes(func)
+        for node in walk_nodes(func)
         if isinstance(node, ast.Assignment) and node.op in ("/=", "%=")
     )
     if not sites:
@@ -730,7 +731,7 @@ def _op_alternatives(op: str) -> List[str]:
 
 
 def _binop_sites(func: ast.FunctionDef) -> List[ast.BinaryOp]:
-    return [n for n in _walk_nodes(func) if isinstance(n, ast.BinaryOp)]
+    return [n for n in walk_nodes(func) if isinstance(n, ast.BinaryOp)]
 
 
 def _literal_slots(func: ast.FunctionDef) -> List[Tuple[ast.Node, str, Optional[int]]]:
@@ -744,7 +745,7 @@ def _literal_slots(func: ast.FunctionDef) -> List[Tuple[ast.Node, str, Optional[
 def _sign_sites(func: ast.FunctionDef) -> List:
     return _int_decl_slots(func) + [
         n
-        for n in _walk_nodes(func)
+        for n in walk_nodes(func)
         if isinstance(n, ast.Cast) and isinstance(n.target_type, ct.IntType)
     ]
 
@@ -752,7 +753,7 @@ def _sign_sites(func: ast.FunctionDef) -> List:
 def _conditional_sites(func: ast.FunctionDef) -> List:
     return [
         n
-        for n in _walk_nodes(func)
+        for n in walk_nodes(func)
         if isinstance(n, (ast.If, ast.While, ast.DoWhile))
         or (isinstance(n, ast.For) and n.cond is not None)
     ]

@@ -13,18 +13,22 @@ normalized token-level edit similarity to the reference source rides along
 as the secondary metric (the "how close did it look" number the paper
 contrasts IO accuracy with).
 
-Execution is batched by construction, *across functions*: gate survivors
-from many functions are grouped into shared
+Before anything compiles, the gate also rejects two kinds of candidate
+deterministically: one whose parameter list differs from the reference's
+in count or class (integer / double / pointer) is a ``type_error``, and
+one that calls a function its own translation unit does not define is a
+``compile_error`` (``external call 'name'``) — candidate code never links
+against, or runs, anything outside itself.
+
+Execution is batched *across functions*: gate survivors from many
+functions are grouped into shared
 :class:`repro.testing.native.NativeBatch` fork-server builds (one
 toolchain invocation per ~32 candidates instead of per candidate or per
-function), the same machinery — and therefore byte-identical verdicts —
-as the fuzzing pipeline's batch path.  ``--jobs N`` shards functions
+function), the same executor the fuzzing pipeline uses.  A group that
+fails to build is re-run as one-case batches, so the failure is charged
+to the candidate that caused it.  ``--jobs N`` shards functions
 round-robin over worker processes; verdicts depend only on each
 function's seed, so reports are byte-identical at any job count.
-``--no-fork-server`` keeps the batches but executes them through the
-one-subprocess-per-leg harness; ``--no-batch`` runs each survivor through
-its own :class:`NativeFunction`.  ``--check-parity`` scores on every
-available path and asserts all reports are byte-identical.
 
 Without a native toolchain (or with ``--backend none``) survivors execute
 on the interpreter instead; the front-end gauntlet, including real
@@ -34,7 +38,7 @@ Typical invocations::
 
     python -m repro.eval.score --seed 0 --functions 50 --candidates 8
     python -m repro.eval.score --seed 0 --functions 50 --candidates 8 \\
-        --check-parity --output eval_report.json
+        --opt-level O3 --output eval_report.json
     python -m repro.eval.score --seed 3 --functions 10 --candidates 4 \\
         --backend none
 """
@@ -71,7 +75,9 @@ from repro.eval.dataset import (
     generated_entries,
     interpreter_observation,
 )
-from repro.eval.mutate import Candidate, Mutator
+from repro.eval.mutate import Candidate, Mutator, walk_nodes
+from repro.lang import ast_nodes as ast
+from repro.lang import ctypes as ct
 from repro.lang.lexer import LexError, TokenKind, tokenize
 from repro.testing import native
 from repro.testing.frontend import CaseContext
@@ -214,11 +220,61 @@ class CandidateScore:
         return out
 
 
+def _signature(context: CaseContext) -> Tuple[str, ...]:
+    """Each parameter's argument class, the way the native harness passes it."""
+    return tuple(
+        "double"
+        if isinstance(t, ct.FloatType)
+        else "pointer"
+        if isinstance(t, ct.PointerType)
+        else "integer"
+        for t in context.param_types()
+    )
+
+
+@lru_cache(maxsize=512)
+def _reference_signature(source: str, name: str) -> Tuple[str, ...]:
+    # Cached because entries loaded from JSON (the service's requests)
+    # carry no context, and every candidate set of a reference needs it.
+    return _signature(CaseContext(source, name))
+
+
+def _external_call(program: ast.Program) -> Optional[str]:
+    """``compile_error`` detail for the first call that leaves the
+    translation unit, or None.
+
+    Every callee must be the name of a function the candidate defines
+    itself; a call through a variable that shadows such a name, or through
+    any other expression, counts as external too, and so does naming an
+    undefined function without calling it (taking its address).
+    """
+    nodes = list(walk_nodes(program))
+    defined = {func.name for func in program.functions()}
+    variables = {
+        node.name for node in nodes if isinstance(node, (ast.Declaration, ast.Param))
+    }
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            callee = node.func
+            if not isinstance(callee, ast.Identifier):
+                return "external call through a function pointer"
+            if callee.name not in defined or callee.name in variables:
+                return f"external call {callee.name!r}"
+        elif (
+            isinstance(node, ast.Identifier)
+            and isinstance(node.ctype, ct.FunctionType)
+            and node.name not in defined
+        ):
+            return f"external call {node.name!r}"
+    return None
+
+
 def _front_end_gate(
     source: str,
     name: str,
     backend: str,
     opt_level: str,
+    reference_signature: Tuple[str, ...],
     cache: Optional[EvalCache] = None,
 ) -> Union[Tuple[str, str], CaseContext]:
     """Run parse -> typecheck -> compile; (verdict, detail) on failure.
@@ -226,7 +282,11 @@ def _front_end_gate(
     Parse/typecheck verdicts come from the shared
     :func:`repro.eval.dataset.front_end_gate`, the same gate the mutation
     certifier uses — by construction the two cannot disagree on a
-    candidate's front-end fate.
+    candidate's front-end fate.  Two checks follow before anything
+    compiles: the parameter list must match ``reference_signature`` (the
+    reference's argument classes, see :func:`_signature`) or the verdict is
+    ``type_error``, and the candidate may call only functions it defines
+    (:func:`_external_call`) or the verdict is ``compile_error``.
 
     With ``cache`` the emitted assembly (or the compile error) is stored
     keyed by the normalized token stream, so a warm run seeds the context
@@ -237,6 +297,16 @@ def _front_end_gate(
         return gate
     program, checker = gate
     context = CaseContext(source, name, program=program, checker=checker)
+    signature = _signature(context)
+    if signature != reference_signature:
+        return "type_error", (
+            "signature does not match the reference: candidate takes "
+            f"({', '.join(signature)}), reference takes "
+            f"({', '.join(reference_signature)})"
+        )
+    external = _external_call(program)
+    if external is not None:
+        return "compile_error", external
     isa = backend if backend != "none" else "x86"
     asm_key = None
     if cache is not None:
@@ -302,8 +372,7 @@ def _stage_candidates(
     """Front-end gate + lint pre-filter for one candidate set.
 
     Returns the (partially filled) score list plus the execution survivors;
-    the staging is independent of how survivors later execute, which is what
-    keeps every execution path's report byte-identical.
+    the staging is independent of how survivors later execute.
     """
     fast_trap_sound = (
         backend in ("x86", "none")
@@ -311,10 +380,17 @@ def _stage_candidates(
         and len(entry.inputs) > 0
         and all(obs.status == "ok" for obs in entry.reference)
     )
+    reference_signature = (
+        _signature(entry.context)
+        if entry.context is not None
+        else _reference_signature(entry.source, entry.name)
+    )
     scores: List[CandidateScore] = []
     survivors: List[Tuple[int, CaseContext]] = []
     for index, candidate in enumerate(candidates):
-        gate = _front_end_gate(candidate.text, entry.name, backend, opt_level, cache)
+        gate = _front_end_gate(
+            candidate.text, entry.name, backend, opt_level, reference_signature, cache
+        )
         similarity = edit_similarity(candidate.text, entry.source)
         if isinstance(gate, tuple):
             verdict, detail = gate
@@ -372,10 +448,8 @@ def score_candidates(
     candidates: Sequence[Candidate],
     backend: str = "x86",
     opt_level: str = "O0",
-    use_batch: bool = True,
     workdir: Optional[Path] = None,
     lint: bool = True,
-    fork_server: bool = True,
     run_timeout: float = 10.0,
     cache: Optional[EvalCache] = None,
 ) -> List[CandidateScore]:
@@ -383,10 +457,9 @@ def score_candidates(
 
     ``backend`` is the ISA candidates are compiled for; ``"none"`` runs
     survivors on the interpreter (the compile gate still emits x86
-    assembly).  With ``use_batch`` the N surviving candidates execute as a
-    single :class:`NativeBatch`; without it each gets its own
-    :class:`NativeFunction` — the slower reference path the batch path must
-    match byte for byte.
+    assembly).  The surviving candidates execute as one fork-server
+    :class:`NativeBatch`, exactly as :func:`_score_entries` runs any
+    number of functions.
 
     With ``lint`` (default) every gate survivor runs through the UB linter
     of :mod:`repro.analysis.lint` first.  A candidate the linter *proves*
@@ -398,157 +471,51 @@ def score_candidates(
     and a substrate where the dialect's trap semantics hold (``x86``/
     ``none`` at ``O0`` — AArch64 returns 0 on division by zero and -O3
     may fold the site away, exactly the cases trap labels are disabled
-    for).  The pre-filter is batching-independent, so batched and
-    per-candidate reports stay byte-identical.
+    for).
     """
-    tmp: Optional[tempfile.TemporaryDirectory] = None
-    if workdir is None and backend != "none":
-        tmp = tempfile.TemporaryDirectory(prefix="minic-eval-")
-        workdir = Path(tmp.name)
-    try:
-        scores, survivors = _stage_candidates(
-            entry, candidates, backend, opt_level, lint, cache
-        )
-        observations = _execute_survivors(
-            entry, survivors, backend, opt_level, use_batch, workdir, fork_server,
-            run_timeout, cache
-        )
-        _finalize_scores(entry, scores, survivors, observations)
-        return scores
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
+    return _score_entries(
+        [entry],
+        [candidates],
+        backend=backend,
+        opt_level=opt_level,
+        lint=lint,
+        run_timeout=run_timeout,
+        cache=cache,
+        workdir=workdir,
+    )[0]
 
 
-def _execute_survivors(
-    entry: DatasetEntry,
-    survivors: List[Tuple[int, CaseContext]],
-    backend: str,
-    opt_level: str,
-    use_batch: bool,
-    workdir: Optional[Path],
-    fork_server: bool = True,
-    run_timeout: float = 10.0,
-    cache: Optional[EvalCache] = None,
-) -> List[Union[List[Observation], Tuple[str, str]]]:
-    """One observation list per survivor, or a (verdict, detail) failure."""
-    if not survivors:
-        return []
-    if backend == "none":
-        return [
-            _interp_observations(context, entry.inputs) for _, context in survivors
-        ]
-    assert workdir is not None
-    if use_batch:
-        outcome = _execute_batch(
-            entry, survivors, backend, opt_level, workdir, fork_server, run_timeout,
-            cache
-        )
-        if outcome is not None:
-            return outcome
-        # Whole-batch build/run failure: fall back to the per-candidate
-        # path, which attributes the problem to the right candidate.
-    return [
-        _execute_single(entry, context, backend, opt_level, workdir, run_timeout, cache)
-        for _, context in survivors
-    ]
-
-
-def _execute_batch(
-    entry: DatasetEntry,
-    survivors: List[Tuple[int, CaseContext]],
+def _execute_one_case(
+    case: native.BatchCase,
     backend: str,
     opt_level: str,
     workdir: Path,
-    fork_server: bool = True,
-    run_timeout: float = 10.0,
-    cache: Optional[EvalCache] = None,
-) -> Optional[List[List[Observation]]]:
-    cases = [
-        native.BatchCase(
-            source=context.source,
-            name=entry.name,
-            inputs=[tuple(args) for args in entry.inputs],
-            context=context,
-        )
-        for _, context in survivors
-    ]
+    run_timeout: float,
+    cache: Optional[EvalCache],
+) -> Union[List[Observation], Tuple[str, str]]:
+    """One survivor alone in a one-case batch: its observations, or the
+    ``compile_error`` its build failed with."""
     try:
         batch = native.NativeBatch(
-            cases,
+            [case],
             opt_level,
             workdir,
             isa=backend,
             run_timeout=run_timeout,
-            tag=f"eval_{entry.uid}",
-            fork_server=fork_server,
+            tag="single",
             cache=cache,
         )
-        results: List[List[Observation]] = []
-        for case_index in range(len(survivors)):
-            results.append(
-                [
-                    _native_outcome_to_observation(
-                        batch.outcome(case_index, input_index)
-                    )
-                    for input_index in range(len(entry.inputs))
-                ]
-            )
-        return results
-    except (
-        subprocess.CalledProcessError,
-        subprocess.TimeoutExpired,  # the batch build itself can time out
-        native.BatchExecutionError,
-        OSError,
-    ):
-        return None
-
-
-def _execute_single(
-    entry: DatasetEntry,
-    context: CaseContext,
-    backend: str,
-    opt_level: str,
-    workdir: Path,
-    run_timeout: float = 10.0,
-    cache: Optional[EvalCache] = None,
-) -> Union[List[Observation], Tuple[str, str]]:
-    try:
-        fn = native.NativeFunction(
-            context.source,
-            entry.name,
-            [tuple(args) for args in entry.inputs],
-            opt_level,
-            workdir,
-            isa=backend,
-            run_timeout=run_timeout,
-            context=context,
-            cache=cache,
-        )
+        batch.ensure_built()
+    except native.UnsupportedSignature as exc:
+        return "compile_error", str(exc)
     except (subprocess.CalledProcessError, subprocess.TimeoutExpired, OSError) as exc:
-        stderr = getattr(exc, "stderr", None) or b""
-        if isinstance(stderr, str):
-            stderr = stderr.encode("utf-8", "replace")
-        detail = stderr.decode("utf-8", "replace")[-500:] or str(exc)
+        detail = native.toolchain_failure_detail(exc, workdir, 500)
         return "compile_error", f"toolchain failed on the assembly: {detail}"
-    observations: List[Observation] = []
-    for input_index in range(len(entry.inputs)):
-        try:
-            result = fn.run(input_index)
-        except subprocess.CalledProcessError as exc:
-            observations.append(
-                Observation("trap", detail=f"exit status {exc.returncode}")
-            )
-            continue
-        except subprocess.TimeoutExpired:
-            observations.append(Observation("limit", detail="execution timeout"))
-            continue
-        observations.append(
-            Observation(
-                "ok", result.return_value, list(result.arg_values), dict(result.globals)
-            )
-        )
-    return observations
+    with batch:
+        return [
+            _native_outcome_to_observation(batch.outcome(0, input_index))
+            for input_index in range(len(case.inputs))
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -567,22 +534,19 @@ def _score_entries(
     candidate_sets: Sequence[Sequence[Candidate]],
     backend: str = "x86",
     opt_level: str = "O0",
-    use_batch: bool = True,
     lint: bool = True,
-    fork_server: bool = True,
     run_timeout: float = 10.0,
     cache: Optional[EvalCache] = None,
     workdir: Optional[Path] = None,
 ) -> List[List[CandidateScore]]:
     """One CandidateScore list per entry (the unit one ``--jobs`` worker runs).
 
-    On the batched native path, gate survivors from *many* functions share
-    one :class:`NativeBatch` (up to :data:`EVAL_GROUP_CASES` per group) so
-    the toolchain runs once per group instead of once per function, and the
-    next group's build is launched before the current group is drained.  A
-    group that fails to build or run falls back to the per-entry executor —
-    the same code the ungrouped scorer uses — so verdicts and their
-    attribution are identical on every path.
+    Gate survivors from *many* functions share one :class:`NativeBatch`
+    (up to :data:`EVAL_GROUP_CASES` per group) so the toolchain runs once
+    per group instead of once per function, and the next group's build is
+    launched before the current group is drained.  A group that fails to
+    build or run is re-run one survivor per batch, which charges the
+    failure to the candidate that caused it.
 
     ``workdir``, when given, is reused for build products instead of a
     per-call temporary directory — the scoring service's workers keep one
@@ -590,27 +554,17 @@ def _score_entries(
     depend on it (artifacts are keyed by tag inside it, and the caller owns
     cleanup).
     """
-    if backend == "none" or not use_batch:
-        return [
-            score_candidates(
-                entry,
-                candidates,
-                backend=backend,
-                opt_level=opt_level,
-                use_batch=use_batch,
-                workdir=workdir,
-                lint=lint,
-                fork_server=fork_server,
-                run_timeout=run_timeout,
-                cache=cache,
-            )
-            for entry, candidates in zip(entries, candidate_sets)
-        ]
-
     staged = [
         _stage_candidates(entry, candidates, backend, opt_level, lint, cache)
         for entry, candidates in zip(entries, candidate_sets)
     ]
+    if backend == "none":
+        for entry, (scores, survivors) in zip(entries, staged):
+            observations = [
+                _interp_observations(context, entry.inputs) for _, context in survivors
+            ]
+            _finalize_scores(entry, scores, survivors, observations)
+        return [scores for scores, _ in staged]
 
     units = [
         [
@@ -635,7 +589,6 @@ def _score_entries(
             opt_level,
             group_workdir,
             isa=backend,
-            fork_server=fork_server,
             group_cases=EVAL_GROUP_CASES,
             run_timeout=run_timeout,
             cache=cache,
@@ -644,13 +597,12 @@ def _score_entries(
                 entry = entries[position]
                 scores, survivors = staged[position]
                 if raw is None:
-                    # The whole group failed to build or drain: fall back to
-                    # the per-entry executor, which attributes the problem to
-                    # the right candidate.
-                    observations = _execute_survivors(
-                        entry, survivors, backend, opt_level, True, group_workdir,
-                        fork_server, run_timeout, cache
-                    )
+                    observations = [
+                        _execute_one_case(
+                            case, backend, opt_level, group_workdir, run_timeout, cache
+                        )
+                        for case in units[position]
+                    ]
                 else:
                     observations = [
                         [
@@ -679,9 +631,7 @@ def _verdict_key(
     and reference *texts* (raw, because the similarity metric's unlexable
     fallback sees formatting), the IO vectors, the reference observations,
     the substrate and the run timeout (score and repair use different
-    budgets, so their ``limit`` verdicts can legitimately differ).  The
-    execution path (batched / fork server) is deliberately absent: all
-    paths are pinned byte-identical by ``--check-parity``.
+    budgets, so their ``limit`` verdicts can legitimately differ).
     """
     return cache.key(
         "verdict",
@@ -754,7 +704,7 @@ def score_entry_sets(
     to a cold one by construction.
 
     ``kwargs`` are :func:`_score_entries`'s: ``backend``, ``opt_level``,
-    ``use_batch``, ``lint``, ``fork_server``, ``run_timeout``, ``workdir``.
+    ``lint``, ``run_timeout``, ``workdir``.
     """
     if cache is None:
         return _score_entries(entries, candidate_sets, **kwargs)
@@ -829,9 +779,7 @@ def score_dataset(
     candidate_sets: Sequence[Sequence[Candidate]],
     backend: str = "x86",
     opt_level: str = "O0",
-    use_batch: bool = True,
     lint: bool = True,
-    fork_server: bool = True,
     jobs: int = 1,
     cache: Optional[EvalCache] = None,
 ) -> Dict[str, Any]:
@@ -848,9 +796,7 @@ def score_dataset(
     score_kwargs = {
         "backend": backend,
         "opt_level": opt_level,
-        "use_batch": use_batch,
         "lint": lint,
-        "fork_server": fork_server,
     }
     if jobs > 1 and len(entries) > 1:
         workers = min(jobs, len(entries))
@@ -882,9 +828,7 @@ def score_dataset(
         all_scores,
         backend=backend,
         opt_level=opt_level,
-        use_batch=use_batch,
         lint=lint,
-        fork_server=fork_server,
     )
 
 
@@ -894,9 +838,7 @@ def build_report(
     all_scores: Sequence[Optional[List[CandidateScore]]],
     backend: str = "x86",
     opt_level: str = "O0",
-    use_batch: bool = True,
     lint: bool = True,
-    fork_server: bool = True,
 ) -> Dict[str, Any]:
     """The aggregate JSON report for already-computed per-entry scores.
 
@@ -989,8 +931,6 @@ def build_report(
         "config": {
             "backend": backend,
             "opt_level": opt_level,
-            "batched": use_batch,
-            "fork_server": fork_server,
             "lint": lint,
         },
         "functions": functions,
@@ -1062,29 +1002,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="opt level candidates are compiled at (default O0)",
     )
     parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="execute candidates one binary at a time (the parity reference)",
-    )
-    parser.add_argument(
-        "--no-fork-server",
-        action="store_true",
-        help="execute batches through the one-subprocess-per-leg harness "
-        "instead of the persistent fork server (the parity reference)",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
         help="worker processes; functions are sharded round-robin and the "
         "report is byte-identical at any job count (default 1)",
-    )
-    parser.add_argument(
-        "--check-parity",
-        action="store_true",
-        help="score on every execution path (fork-server batches, subprocess "
-        "batches, per-candidate) and fail unless all reports are "
-        "byte-identical",
     )
     parser.add_argument(
         "--no-lint",
@@ -1137,56 +1059,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         candidate_sets,
         backend=backend,
         opt_level=args.opt_level,
-        use_batch=not args.no_batch,
         lint=not args.no_lint,
-        fork_server=not args.no_fork_server,
         jobs=max(1, args.jobs),
         cache=cache,
     )
     scored = time.time()
-
-    parity_failed = False
-    if args.check_parity:
-        # Score again on every execution path the main run did not take;
-        # the runs may differ only in the recorded execution-path flags.
-        main_path = (not args.no_batch, not args.no_fork_server)
-        variants = [
-            (use_batch, fork_server)
-            for use_batch, fork_server in [(True, True), (True, False), (False, False)]
-            if (use_batch, fork_server) != main_path
-        ]
-
-        def _comparable(rep: Dict[str, Any]) -> str:
-            scrubbed = {
-                **rep,
-                "config": {**rep["config"], "batched": None, "fork_server": None},
-            }
-            return json.dumps(scrubbed, sort_keys=True)
-
-        for use_batch, fork_server in variants:
-            # Reference runs are deliberately cache-free: a memo hit would
-            # replay the main run's verdicts and make the parity check
-            # vacuous.
-            reference = score_dataset(
-                entries,
-                candidate_sets,
-                backend=backend,
-                opt_level=args.opt_level,
-                use_batch=use_batch,
-                lint=not args.no_lint,
-                fork_server=fork_server,
-            )
-            label = (
-                "fork-server batches" if use_batch and fork_server
-                else "subprocess batches" if use_batch
-                else "per-candidate"
-            )
-            mismatch = _comparable(report) != _comparable(reference)
-            parity_failed = parity_failed or mismatch
-            print(
-                f"parity vs {label}: "
-                + ("NOT byte-identical" if mismatch else "byte-identical")
-            )
 
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2)
@@ -1230,7 +1107,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"got {mismatch['verdict']} — {mismatch['detail']}",
             file=sys.stderr,
         )
-    if aggregate["mismatches"] or parity_failed:
+    if aggregate["mismatches"]:
         return 1
     return 0
 

@@ -1,43 +1,37 @@
-"""Native build-and-execute harnesses for compiled Mini-C assembly.
+"""Native build-and-execute harness for compiled Mini-C assembly.
 
 This is the "run the ground truth for real" half of the paper's
-IO-equivalence check.  Two harnesses share the same encoding/decoding
-machinery:
+IO-equivalence check.  :class:`NativeBatch` is the one native executor:
+N cases are compiled into **one** translation unit per (ISA, opt level),
+linked against a generic control loop and executed by a **fork server**:
+one persistent process that reads (case, input) requests over a pipe and
+``fork()``s per pair.  Each child inherits pristine globals through
+copy-on-write, so trap isolation and state reset come for free — a
+trapping pair kills only its child, and the server keeps answering
+without any re-exec.  The control loop is generic C compiled **once per
+process** into a cached object file; per batch only a tiny symbol-table
+TU and the concatenated assembly are compiled, and the build runs
+asynchronously so callers can overlap it with other work
+(``ensure_built()`` joins it).  The ARM leg runs the same server
+statically linked under one persistent ``qemu-aarch64`` process.  A
+single case is simply a one-case batch.
 
-* :class:`NativeFunction` — one case per binary, one subprocess per input
-  vector.  Simple, fully isolated; used by the native execution tests and
-  as the oracle's sequential reference path.
-* :class:`NativeBatch` — N cases compiled into **one** translation unit
-  per (ISA, opt level), linked against a single dispatching harness and
-  executed by a **fork server**: one persistent process whose control
-  loop reads (case, input) requests over a pipe and ``fork()``s per
-  pair.  Each child inherits pristine globals through copy-on-write, so
-  trap isolation and state reset come for free — a trapping pair kills
-  only its child, and the server keeps answering without any re-exec.
-  The control loop is generic C compiled **once per process** into a
-  cached object file; per batch only a tiny symbol-table TU and the
-  concatenated assembly are compiled, and the build runs asynchronously
-  so callers can overlap it with other work (``ensure_built()`` joins
-  it).  The ARM leg runs the same server statically linked under one
-  persistent ``qemu-aarch64`` process.  The previous one-subprocess-per-
-  leg path (trap-attributing resume, globals snapshot/restore) is kept,
-  byte-identical in its verdicts, as the parity reference behind
-  ``fork_server=False``.
+The control loop calls every case through one universal trampoline that
+passes up to 6 integer-class and 6 double arguments in registers.  A case
+whose signature does not fit fails its batch with
+:class:`UnsupportedSignature`, which names the case.
 
-Batching shares one process across cases, so per-case symbols are made
+Batching shares one binary across cases, so per-case symbols are made
 unique: the entry point and every global are renamed ``__caseN_<name>``
 (whole-word textual rename — safe for generator-produced programs, whose
 identifiers never collide with assembly keywords), and local labels get a
-per-case prefix.  Each case's globals are snapshotted at process start and
-restored before every call so every (case, input) pair still observes the
-pristine initialisers, exactly like a fresh per-case process would.
+per-case prefix.
 
 Argument buffers use the interpreter's packed memory layout (structs have
 no padding), so they are encoded/decoded here as raw bytes rather than
-declared as C aggregates.  Scalar parameters are passed through ``long
-long``/``double`` prototypes: the compiled code expects integer arguments
-sign- or zero-extended to the full 64-bit register, which is exactly what
-a ``long long`` prototype makes the C caller do.
+declared as C aggregates.  Scalar parameters are passed as 64-bit
+integers or doubles: the compiled code expects integer arguments sign- or
+zero-extended to the full register.
 """
 
 from __future__ import annotations
@@ -226,17 +220,8 @@ def _decode_global(data: bytes, gtype: ct.CType) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Harness generation
+# C helpers shared with the sanitizer leg's harness (repro.analysis.sanitize)
 # ---------------------------------------------------------------------------
-
-_DUMP_HELPER = """
-static void dump(const char *tag, const unsigned char *p, long n) {
-    printf("%s ", tag);
-    if (n == 0) { printf("-\\n"); return; }
-    for (long i = 0; i < n; i++) printf("%02x", p[i]);
-    printf("\\n");
-}
-"""
 
 _BITS_HELPER = """
 static double bits_to_double(unsigned long long u) {
@@ -301,6 +286,21 @@ def _build_command(
     return build, []
 
 
+def toolchain_failure_detail(exc: Exception, workdir: Path, limit: int) -> str:
+    """The tail of a failed build's stderr, free of run-specific paths.
+
+    gcc names its intermediate objects randomly (``/tmp/ccXXXXXX.o``) and
+    batch files live in a per-run working directory, so the raw text of
+    one candidate's failure differs between runs; verdict details must not.
+    """
+    stderr = getattr(exc, "stderr", None) or b""
+    if isinstance(stderr, bytes):
+        stderr = stderr.decode("utf-8", "replace")
+    text = (stderr or str(exc)).replace(str(workdir) + os.sep, "<workdir>/")
+    text = re.sub(re.escape(tempfile.gettempdir()) + r"/[^\s:'\"`]+", "<tmp>", text)
+    return text[-limit:]
+
+
 @dataclass
 class NativeResult:
     """Observable state of one native execution."""
@@ -308,167 +308,6 @@ class NativeResult:
     return_value: Any
     arg_values: List[Any]
     globals: Dict[str, Any]
-
-
-class NativeFunction:
-    """A corpus function assembled to a host executable (one case, one
-    subprocess per input vector).
-
-    ``isa`` selects the backend: ``"x86"`` builds with the host toolchain,
-    ``"arm"`` builds a static binary with the AArch64 cross compiler and
-    executes it under ``qemu-aarch64`` (or directly on aarch64 hosts).
-    ``asm_transform``, when given, rewrites the assembly text before it is
-    assembled — the fuzzer uses this to inject deliberate miscompiles.
-    ``context`` shares an already-computed front half (parse/typecheck/
-    lowered IR) so repeated builds of one case do not repeat it.
-    """
-
-    def __init__(
-        self,
-        source: str,
-        name: str,
-        inputs: Sequence[Tuple[Any, ...]],
-        opt_level: str,
-        workdir: Path,
-        isa: str = "x86",
-        asm_transform: Optional[Callable[[str], str]] = None,
-        run_timeout: float = 10.0,
-        context: Optional[CaseContext] = None,
-        cache=None,
-    ) -> None:
-        self.source = source
-        self.name = name
-        self.inputs = list(inputs)
-        self.opt_level = opt_level
-        self.isa = isa
-        self.run_timeout = run_timeout
-        self._context = context if context is not None else CaseContext(source, name)
-        self._resolve = self._context.resolve
-        self.param_types = self._context.param_types()
-        self.return_type = self._context.return_type()
-        assembly = self._context.assembly(isa, opt_level)
-        if asm_transform is not None:
-            assembly = asm_transform(assembly)
-        self.globals = _assembly_globals(assembly)
-        self._buffers: List[List[Optional[_Buffer]]] = []
-        harness = self._generate_harness()
-        self.binary = workdir / f"{name}_{isa}_{opt_level}"
-        if cache is not None:
-            key = cache.key("binary", isa, "func", _toolchain_id(isa), assembly, harness)
-            if cache.get_file("binary", key, self.binary):
-                if isa == "arm" and platform.machine() != "aarch64":
-                    self._exec_prefix = _arm_emulator() or []
-                else:
-                    self._exec_prefix = []
-                return
-        asm_path = workdir / f"{name}_{isa}_{opt_level}.s"
-        asm_path.write_text(assembly)
-        harness_path = workdir / f"{name}_{isa}_{opt_level}_main.c"
-        harness_path.write_text(harness)
-        build, self._exec_prefix = _build_command(
-            isa, self.binary, [harness_path, asm_path]
-        )
-        subprocess.run(build, check=True, capture_output=True, timeout=120)
-        if cache is not None:
-            cache.put_file("binary", key, self.binary)
-
-    # -- C generation --------------------------------------------------------
-
-    def _generate_harness(self) -> str:
-        lines = [
-            "#include <stdio.h>",
-            "#include <stdlib.h>",
-            "",
-            _prototype(self.name, self.param_types, self.return_type),
-        ]
-        for gname, _ in self.globals:
-            lines.append(f"extern unsigned char {gname}[];")
-        lines.append(_DUMP_HELPER)
-        lines.append(_BITS_HELPER)
-        body: List[str] = []
-        for index, args in enumerate(self.inputs):
-            buffers: List[Optional[_Buffer]] = []
-            call_args: List[str] = []
-            decls: List[str] = []
-            for j, (value, ptype) in enumerate(zip(args, self.param_types)):
-                buf = _encode_argument(value, ptype, self._resolve)
-                buffers.append(buf)
-                if buf is None:
-                    call_args.append(_scalar_literal(value, ptype))
-                else:
-                    cname = f"in{index}_{j}"
-                    data = ", ".join(str(b) for b in buf.data)
-                    decls.append(f"static unsigned char {cname}[] = {{ {data} }};")
-                    call_args.append(f"(long long){cname}")
-            self._buffers.append(buffers)
-            body.append(f"    if (idx == {index}) {{")
-            for decl in decls:
-                body.append(f"        {decl}")
-            call = f"{self.name}({', '.join(call_args)})"
-            if ct.is_void(self.return_type):
-                body.append(f"        {call};")
-            elif isinstance(self.return_type, ct.FloatType):
-                body.append(f"        printf(\"RETF %.17g\\n\", {call});")
-            else:
-                body.append(f"        printf(\"RET %lld\\n\", {call});")
-            for j, buf in enumerate(buffers):
-                if buf is not None:
-                    body.append(
-                        f"        dump(\"ARG{j}\", in{index}_{j}, {len(buf.data)});"
-                    )
-            for gname, gsize in self.globals:
-                body.append(f"        dump(\"GLB:{gname}\", {gname}, {gsize});")
-            body.append("    }")
-        lines.append("int main(int argc, char **argv) {")
-        lines.append("    int idx = argc > 1 ? atoi(argv[1]) : 0;")
-        lines.extend(body)
-        lines.append("    return 0;")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    # -- execution -----------------------------------------------------------
-
-    def run(self, index: int) -> NativeResult:
-        """Execute input set ``index`` natively and decode the output."""
-        # The timeout guards the differential oracle/reducer against
-        # candidate programs that loop forever (the interpreter leg traps on
-        # its step budget; the native binary has no such budget).
-        proc = subprocess.run(
-            self._exec_prefix + [str(self.binary), str(index)],
-            check=True,
-            capture_output=True,
-            text=True,
-            timeout=self.run_timeout,
-        )
-        return_value: Any = None
-        arg_values: List[Any] = list(self.inputs[index])
-        global_values: Dict[str, Any] = {}
-        for line in proc.stdout.splitlines():
-            tag, _, payload = line.partition(" ")
-            if tag == "RET":
-                raw = int(payload)
-                if isinstance(self.return_type, ct.IntType):
-                    raw = self.return_type.wrap(raw)
-                return_value = raw
-            elif tag == "RETF":
-                return_value = float(payload)
-            elif tag.startswith("ARG"):
-                j = int(tag[3:])
-                buf = self._buffers[index][j]
-                data = b"" if payload == "-" else bytes.fromhex(payload)
-                if buf is not None:
-                    arg_values[j] = _decode_buffer(data, buf, self._resolve)
-            elif tag.startswith("GLB:"):
-                gname = tag[4:]
-                data = b"" if payload == "-" else bytes.fromhex(payload)
-                global_values[gname] = _decode_global(
-                    data, self._context.global_type(gname)
-                )
-        return NativeResult(return_value, arg_values, global_values)
-
-    def expected(self, index: int):
-        """The interpreter's observable state on the same input."""
-        return self._context.interpreter().run_function(self.name, self.inputs[index])
 
 
 # ---------------------------------------------------------------------------
@@ -741,17 +580,27 @@ def _forkserver_ret_kind(return_type: ct.CType) -> int:
     return 1
 
 
-def _forkserver_supported(param_types: Sequence[ct.CType]) -> bool:
-    """True when the universal trampoline can call this signature.
+class UnsupportedSignature(BatchExecutionError):
+    """A case's parameter list does not fit the universal trampoline."""
+
+
+def _unsupported_signature(
+    name: str, param_types: Sequence[ct.CType]
+) -> Optional[UnsupportedSignature]:
+    """The error for a signature the trampoline cannot call, else None.
 
     The trampoline passes up to 6 integer-class and 6 double arguments —
     register-only on both ABIs, matching the backends, and comfortably
-    above the generator's 5-parameter ceiling.  Anything wider falls back
-    to the per-pair subprocess harness.
+    above the generator's 5-parameter ceiling.
     """
     ints = sum(1 for t in param_types if not isinstance(t, ct.FloatType))
     floats = len(param_types) - ints
-    return ints <= 6 and floats <= 6
+    if ints <= 6 and floats <= 6:
+        return None
+    return UnsupportedSignature(
+        f"unsupported signature ({name}: {ints} integer and {floats} double "
+        "parameters; the harness passes at most 6 of each)"
+    )
 
 
 def _request_token(value: Any, ptype: ct.CType, buf: Optional[_Buffer]) -> str:
@@ -874,24 +723,18 @@ class _ForkServer:
 
 
 class NativeBatch:
-    """Many cases, one binary per (ISA, opt level), one server per leg.
+    """Many cases, one binary per (ISA, opt level), one fork server per leg.
 
-    In the default **fork-server** mode the binary is the generic control
-    loop linked against a generated symbol table: the parent process reads
-    (case, input) requests over stdin, forks, and each child calls its
-    case through the universal trampoline and dumps the observable state.
-    Children inherit pristine globals by copy-on-write, so no snapshot or
-    restore is needed, and a trap costs one dead child instead of a
-    process relaunch.  Builds run asynchronously — ``ensure_built()``
-    joins the compile, and ``outcome()`` calls it implicitly.
-
-    With ``fork_server=False`` the previous dispatching harness is used:
-    it executes every pair in order in one subprocess, restoring globals
-    from a startup snapshot and bracketing each pair with ``PAIR n`` /
-    ``DONE n`` markers; a trapping pair kills the process *after* its
-    ``PAIR`` marker has been flushed, so the parent attributes the signal
-    and relaunches from the next pair.  Both modes produce byte-identical
-    outcomes; the subprocess mode is kept as the parity reference.
+    The binary is the generic control loop linked against a generated
+    symbol table: the parent process reads (case, input) requests over
+    stdin, forks, and each child calls its case through the universal
+    trampoline and dumps the observable state.  Children inherit pristine
+    globals by copy-on-write, so no snapshot or restore is needed, and a
+    trap costs one dead child instead of a process relaunch.  Builds run
+    asynchronously — ``ensure_built()`` joins the compile, and
+    ``outcome()`` calls it implicitly.  A case whose signature the
+    trampoline cannot call makes both raise :class:`UnsupportedSignature`
+    without building anything.
     """
 
     def __init__(
@@ -903,7 +746,6 @@ class NativeBatch:
         asm_transform: Optional[Callable[[str], str]] = None,
         run_timeout: float = 10.0,
         tag: str = "batch",
-        fork_server: Optional[bool] = None,
         cache=None,
     ) -> None:
         self.opt_level = opt_level
@@ -930,6 +772,10 @@ class NativeBatch:
             context = case.context if case.context is not None else CaseContext(
                 case.source, case.name
             )
+            unsupported = _unsupported_signature(case.name, context.param_types())
+            if unsupported is not None:
+                self._build_error = unsupported
+                return
             assembly = (
                 case.assembly
                 if case.assembly is not None
@@ -948,25 +794,15 @@ class NativeBatch:
             for input_index in range(len(case.inputs)):
                 self._pairs.append((index, input_index))
 
-        if fork_server is None:
-            fork_server = True
-        self.fork_server = fork_server and all(
-            _forkserver_supported(entry.context.param_types()) for entry in self.entries
-        )
-
         asm_text = "\n".join(asm_parts)
         self.binary = workdir / f"{tag}_{isa}_{opt_level}"
-        # The generated C is produced either way: _generate_table/_generate
-        # _harness also encode the request lines and argument buffers the
-        # execution path needs, and the text is part of the cache key.
-        generated = (
-            self._generate_table() if self.fork_server else self._generate_harness()
-        )
+        # The generated table also encodes the request lines and argument
+        # buffers execution needs, and its text is part of the cache key.
+        generated = self._generate_table()
         if cache is not None:
             self._cache_key = cache.key(
                 "binary",
                 isa,
-                "fork" if self.fork_server else "harness",
                 _toolchain_id(isa),
                 asm_text,
                 generated,
@@ -980,14 +816,9 @@ class NativeBatch:
                 return
         asm_path = workdir / f"{tag}_{isa}_{opt_level}.s"
         asm_path.write_text(asm_text)
-        if self.fork_server:
-            table_path = workdir / f"{tag}_{isa}_{opt_level}_table.c"
-            table_path.write_text(generated)
-            sources = [_forkserver_harness_object(isa), table_path, asm_path]
-        else:
-            harness_path = workdir / f"{tag}_{isa}_{opt_level}_main.c"
-            harness_path.write_text(generated)
-            sources = [harness_path, asm_path]
+        table_path = workdir / f"{tag}_{isa}_{opt_level}_table.c"
+        table_path.write_text(generated)
+        sources = [_forkserver_harness_object(isa), table_path, asm_path]
         build, self._exec_prefix = _build_command(isa, self.binary, sources)
         self._build_cmd = build
         self._build_proc = subprocess.Popen(
@@ -1070,8 +901,7 @@ class NativeBatch:
         """The per-batch symbol table TU linked against the control loop.
 
         Also encodes every (case, input) pair into its request line and
-        records the argument buffers, exactly as ``_generate_harness``
-        does for the subprocess mode.
+        records the argument buffers its observations decode against.
         """
         lines = [_FORK_TABLE_DEFS]
         for index, entry in enumerate(self.entries):
@@ -1115,132 +945,13 @@ class NativeBatch:
                 )
         return "\n".join(lines) + "\n"
 
-    def _generate_harness(self) -> str:
-        lines = [
-            "#include <stdio.h>",
-            "#include <stdlib.h>",
-            "#include <string.h>",
-            "",
-        ]
-        for index, entry in enumerate(self.entries):
-            context = entry.context
-            lines.append(
-                _prototype(entry.symbol, context.param_types(), context.return_type())
-            )
-            for gname, gsize in entry.globals:
-                lines.append(f"extern unsigned char {_mangle(index, gname)}[];")
-                lines.append(f"static unsigned char snap{index}_{gname}[{gsize}];")
-        lines.append(_DUMP_HELPER)
-        lines.append(_BITS_HELPER)
-        lines.append("int main(int argc, char **argv) {")
-        lines.append("    long start = argc > 1 ? atol(argv[1]) : 0;")
-        lines.append("    long pair = -1;")
-        # Snapshot every case's pristine globals before anything runs.
-        for index, entry in enumerate(self.entries):
-            for gname, gsize in entry.globals:
-                lines.append(
-                    f"    memcpy(snap{index}_{gname}, {_mangle(index, gname)}, {gsize});"
-                )
-
-        for index, entry in enumerate(self.entries):
-            context = entry.context
-            param_types = context.param_types()
-            return_type = context.return_type()
-            entry.buffers = []
-            for input_index, args in enumerate(entry.case.inputs):
-                buffers: List[Optional[_Buffer]] = []
-                call_args: List[str] = []
-                decls: List[str] = []
-                for j, (value, ptype) in enumerate(zip(args, param_types)):
-                    buf = _encode_argument(value, ptype, context.resolve)
-                    buffers.append(buf)
-                    if buf is None:
-                        call_args.append(_scalar_literal(value, ptype))
-                    else:
-                        cname = f"in{index}_{input_index}_{j}"
-                        data = ", ".join(str(b) for b in buf.data)
-                        decls.append(
-                            f"        static unsigned char {cname}[] = {{ {data} }};"
-                        )
-                        call_args.append(f"(long long){cname}")
-                entry.buffers.append(buffers)
-                lines.append("    pair++;")
-                lines.append("    if (pair >= start) {")
-                lines.extend(decls)
-                # The PAIR marker is flushed before the call so a trapping
-                # pair is attributable from the partial output.
-                lines.append('        printf("PAIR %ld\\n", pair); fflush(stdout);')
-                for gname, gsize in entry.globals:
-                    lines.append(
-                        f"        memcpy({_mangle(index, gname)}, snap{index}_{gname}, {gsize});"
-                    )
-                call = f"{entry.symbol}({', '.join(call_args)})"
-                if ct.is_void(return_type):
-                    lines.append(f"        {call};")
-                elif isinstance(return_type, ct.FloatType):
-                    lines.append(f'        printf("RETF %.17g\\n", {call});')
-                else:
-                    lines.append(f'        printf("RET %lld\\n", {call});')
-                for j, buf in enumerate(buffers):
-                    if buf is not None:
-                        lines.append(
-                            f'        dump("ARG{j}", in{index}_{input_index}_{j}, {len(buf.data)});'
-                        )
-                for gname, gsize in entry.globals:
-                    lines.append(
-                        f'        dump("GLB:{gname}", {_mangle(index, gname)}, {gsize});'
-                    )
-                lines.append('        printf("DONE %ld\\n", pair); fflush(stdout);')
-                lines.append("    }")
-        lines.append("    return 0;")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
     # -- execution -----------------------------------------------------------
 
-    #: Wall-clock allowance per (case, input) pair on top of ``run_timeout``.
-    #: A healthy pair runs in microseconds; this exists so one invocation
-    #: covering hundreds of pairs (or slow qemu-emulated legs) is not held
-    #: to the single-pair budget the per-case path uses.
+    #: Wall-clock allowance per (case, input) pair on top of ``run_timeout``
+    #: in a batch's execution budget (see :func:`batch_build_timeout`).  A
+    #: healthy pair runs in microseconds; this funds hundreds of pairs or
+    #: slow qemu-emulated legs.
     PER_PAIR_ALLOWANCE = 0.1
-
-    def _run_from(self, start: int) -> Tuple[Optional[int], str, Optional[int]]:
-        """One harness invocation: (in-flight pair, stdout, returncode).
-
-        ``returncode`` is None when the invocation timed out.  The timeout
-        scales with the number of pairs the invocation still has to run:
-        ``run_timeout`` bounds any single runaway pair (matching the
-        sequential path's per-vector budget) and the per-pair allowance
-        funds the legitimate aggregate runtime of the rest of the batch.
-        """
-        remaining = len(self._pairs) - start
-        try:
-            proc = subprocess.run(
-                self._exec_prefix + [str(self.binary), str(start)],
-                capture_output=True,
-                text=True,
-                timeout=self.run_timeout + self.PER_PAIR_ALLOWANCE * remaining,
-            )
-            stdout, returncode = proc.stdout, proc.returncode
-        except subprocess.TimeoutExpired as exc:
-            stdout = exc.stdout or ""
-            if isinstance(stdout, bytes):
-                stdout = stdout.decode("utf-8", "replace")
-            returncode = None
-        inflight: Optional[int] = None
-        record: List[str] = []
-        for line in stdout.splitlines():
-            tag, _, payload = line.partition(" ")
-            if tag == "PAIR":
-                inflight = int(payload)
-                record = []
-            elif tag == "DONE":
-                flat = int(payload)
-                self._decode_pair(flat, record)
-                inflight = None
-            else:
-                record.append(line)
-        return inflight, stdout, returncode
 
     #: Restarts tolerated per pair before the batch is declared broken.
     MAX_PAIR_RETRIES = 2
@@ -1257,10 +968,7 @@ class NativeBatch:
         except Exception as exc:
             self._failure = exc
             raise
-        if self.fork_server:
-            self._execute_forkserver()
-        else:
-            self._execute_subprocess()
+        self._execute_forkserver()
 
     def _spawn_server(self, command: Sequence[str]) -> _ForkServer:
         """Start a fork server registered for close(); raises once closed."""
@@ -1363,31 +1071,6 @@ class NativeBatch:
                 return line[5:], record
             record.append(line)
 
-    def _execute_subprocess(self) -> None:
-        self._outcomes = {}
-        start = 0
-        total = len(self._pairs)
-        while start < total:
-            inflight, _, returncode = self._run_from(start)
-            if returncode == 0 and inflight is None:
-                break
-            if inflight is None:
-                # Died outside any case: nothing to attribute the failure to.
-                self._outcomes = None
-                self._failure = BatchExecutionError(
-                    f"batch binary failed with status {returncode!r} "
-                    f"outside any case (started at pair {start})"
-                )
-                raise self._failure
-            if returncode is None:
-                self._outcomes[self._pairs[inflight]] = ("limit", "execution timeout")
-            else:
-                self._outcomes[self._pairs[inflight]] = (
-                    "trap",
-                    f"exit status {returncode}",
-                )
-            start = inflight + 1
-
     def _decode_pair(self, flat: int, record: List[str]) -> None:
         case_index, input_index = self._pairs[flat]
         entry = self.entries[case_index]
@@ -1461,8 +1144,8 @@ class GroupedBatchRunner:
     :meth:`run` yields ``(unit_index, outcomes)`` in unit order, where
     ``outcomes[case][input]`` is the raw ``NativeBatch.outcome`` tuple —
     or ``None`` for every unit of a group whose build or drain failed, in
-    which case the caller re-executes those units on its own fallback path
-    (keeping failure attribution identical to the ungrouped executor).
+    which case the caller re-executes those units in one-case batches, so
+    the failure is attributed to the case that caused it.
     Units with no cases are skipped entirely.
     """
 
@@ -1471,7 +1154,6 @@ class GroupedBatchRunner:
         opt_level: str,
         workdir: Path,
         isa: str = "x86",
-        fork_server: bool = True,
         group_cases: int = DEFAULT_GROUP_CASES,
         tag_prefix: str = "evalg",
         run_timeout: float = 10.0,
@@ -1480,7 +1162,6 @@ class GroupedBatchRunner:
         self.opt_level = opt_level
         self.workdir = workdir
         self.isa = isa
-        self.fork_server = fork_server
         self.group_cases = group_cases
         self.tag_prefix = tag_prefix
         self.run_timeout = run_timeout
@@ -1519,7 +1200,6 @@ class GroupedBatchRunner:
                 isa=self.isa,
                 run_timeout=self.run_timeout,
                 tag=f"{self.tag_prefix}{group_index}",
-                fork_server=self.fork_server,
                 cache=self.cache,
             )
         except (subprocess.CalledProcessError, subprocess.TimeoutExpired, OSError):
@@ -1606,8 +1286,8 @@ __all__ = [
     "DEFAULT_GROUP_CASES",
     "GroupedBatchRunner",
     "NativeBatch",
-    "NativeFunction",
     "NativeResult",
+    "UnsupportedSignature",
     "batch_build_timeout",
     "have_arm_toolchain",
     "have_native_toolchain",

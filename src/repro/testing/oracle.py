@@ -20,13 +20,11 @@ observation: every leg must trap for the comparison to pass.
 
 Each case's front half (parse → typecheck → lower) runs **once** and is
 shared by every leg and every input vector (:class:`CaseContext`).
-:meth:`Oracle.check_batch` goes further and executes the native legs of a
-whole batch of cases through :class:`repro.testing.native.NativeBatch` —
-one toolchain invocation and one subprocess per leg instead of per case —
-which is where the fuzz pipeline's throughput comes from.  Verdicts are
-identical between :meth:`check_case` and :meth:`check_batch` by
-construction: both feed the same per-(case, input) observations through
-the same comparison.
+:meth:`Oracle.check_batch` executes the native legs of a whole batch of
+cases through :class:`repro.testing.native.NativeBatch` — one toolchain
+invocation and one fork server per backend instead of per case — which is
+where the fuzz pipeline's throughput comes from.  :meth:`check_case` is a
+one-case batch, so the two cannot disagree.
 """
 
 from __future__ import annotations
@@ -158,7 +156,9 @@ class PreparedBatch:
     active: List[int]
     batches: Dict[str, Tuple["native.NativeBatch", Dict[Tuple[int, str], int]]]
     reference: Dict[int, List[List["LegOutcome"]]]
-    fallback: bool = False
+    #: Set when a native batch could not be built: the cases are re-checked
+    #: one per batch, and a one-case batch takes this as its verdict.
+    failure: Optional["OracleError"] = None
 
 
 class Oracle:
@@ -179,9 +179,6 @@ class Oracle:
     breakage.  ``sanitize`` adds the report-only UBSan/ASan C leg of
     :mod:`repro.analysis.sanitize` (requires the x86 toolchain); pass
     ``True`` for the default config or a :class:`SanitizerConfig`.
-    ``fork_server`` selects the batched execution strategy: the default
-    fork-server harness, or (``False``) the one-subprocess-per-leg path
-    kept as the byte-identical parity reference.
     """
 
     def __init__(
@@ -194,10 +191,8 @@ class Oracle:
         verify_ir: bool = True,
         ir_transform=None,
         sanitize: Union[bool, SanitizerConfig, None] = None,
-        fork_server: bool = True,
     ) -> None:
         self.asm_transform = asm_transform
-        self.fork_server = fork_server
         self.include_ir_leg = include_ir_leg
         self.verify_ir = verify_ir
         self.ir_transform = ir_transform
@@ -363,31 +358,6 @@ class Oracle:
             "ir-O3", "ok", "", result.return_value, result.arg_values, result.globals
         )
 
-    def _build_native(
-        self, context: CaseContext, inputs: List[Tuple], backend: str, opt: str
-    ) -> native.NativeFunction:
-        return native.NativeFunction(
-            context.source,
-            context.name,
-            inputs,
-            opt,
-            self.workdir,
-            isa=backend,
-            asm_transform=self.asm_transform,
-            context=context,
-        )
-
-    def _run_native(self, native_fn, leg: str, index: int) -> LegOutcome:
-        try:
-            result = native_fn.run(index)
-        except subprocess.CalledProcessError as exc:
-            return LegOutcome(leg, "trap", f"exit status {exc.returncode}")
-        except subprocess.TimeoutExpired:
-            return LegOutcome(leg, "limit", "execution timeout")
-        return LegOutcome(
-            leg, "ok", "", result.return_value, result.arg_values, result.globals
-        )
-
     @staticmethod
     def _batch_outcome_to_leg(outcome: Tuple[str, Any], leg: str) -> LegOutcome:
         status, payload = outcome
@@ -438,20 +408,12 @@ class Oracle:
         context: CaseContext,
         inputs: List[Tuple],
         native_outcomes: Callable[[int], List[LegOutcome]],
-        reference_legs: Optional[List[List[LegOutcome]]] = None,
+        reference_legs: List[List[LegOutcome]],
     ) -> Optional[Divergence]:
-        """Run the reference legs per input, splice in the native outcomes,
-        and report the first divergence — shared by the per-case and the
-        batched paths so their verdicts cannot drift.  ``reference_legs``
-        passes pre-computed interpreter/IR outcomes (the batched path runs
-        them while the native builds compile in the background); the
-        comparison itself is identical either way.
-        """
+        """Splice the native outcomes into each input's pre-computed
+        interpreter/IR outcomes and report the first divergence."""
         for index in range(len(inputs)):
-            if reference_legs is not None:
-                outcomes = list(reference_legs[index])
-            else:
-                outcomes = self._reference_outcomes(context, inputs[index])
+            outcomes = list(reference_legs[index])
             outcomes.extend(native_outcomes(index))
             reference = outcomes[0]
             for other in outcomes[1:]:
@@ -474,40 +436,15 @@ class Oracle:
     ) -> Optional[Divergence]:
         """Run every leg on every input vector; report the first divergence.
 
-        Raises :class:`repro.compiler.CompileError` (or assembler errors as
-        :class:`OracleError`) when a leg cannot be built — the caller decides
-        whether that is interesting.
+        A one-case :meth:`check_batch`.  Raises what building a leg raised
+        — :class:`repro.compiler.CompileError`, or :class:`OracleError`
+        when the native build fails — so the caller decides whether that
+        is interesting.
         """
-        inputs = list(inputs)
-        # The front half (parse, typecheck, lowering) runs once per case and
-        # is shared by every leg and every input vector.
-        context = self._make_context(source, name)
-        verifier_verdict = self._verify_context(context, inputs)
-        if verifier_verdict is not None:
-            return verifier_verdict
-        natives: Dict[str, native.NativeFunction] = {}
-        for backend in self.native_backends:
-            for opt in ("O0", "O3"):
-                try:
-                    natives[f"{backend}-{opt}"] = self._build_native(
-                        context, inputs, backend, opt
-                    )
-                except subprocess.CalledProcessError as exc:
-                    stderr = (exc.stderr or b"").decode("utf-8", "replace")[-2000:]
-                    raise OracleError(
-                        f"native build failed for {backend}-{opt}: {stderr}"
-                    ) from exc
-
-        def native_outcomes(index: int) -> List[LegOutcome]:
-            return [
-                self._run_native(native_fn, leg, index)
-                for leg, native_fn in natives.items()
-            ]
-
-        divergence = self._first_divergence(context, inputs, native_outcomes)
-        if divergence is None:
-            divergence = self._sanitize_cases([(context, inputs)]).get(0)
-        return divergence
+        verdict = self.check_batch([native.BatchCase(source, name, list(inputs))])[0]
+        if isinstance(verdict, Exception):
+            raise verdict
+        return verdict
 
     # -- batched evaluation ----------------------------------------------------
 
@@ -518,8 +455,8 @@ class Oracle:
         a :class:`Divergence`, or the exception raised while building one of
         the case's legs.  Verdicts are identical to running
         :meth:`check_case` on each case individually; if the combined batch
-        binary cannot be built or dies outside any case, the batch falls
-        back to exactly that per-case path.
+        binary cannot be built or fails outside any case, each case is
+        re-checked in a batch of its own.
 
         Internally this is :meth:`prepare_batch` + :meth:`finish_batch`;
         callers that have a next batch ready can call them separately to
@@ -622,17 +559,14 @@ class Oracle:
                     isa=backend,
                     asm_transform=self.asm_transform,
                     tag=f"batch{self._batch_counter}",
-                    fork_server=self.fork_server,
                 )
                 prepared.batches[backend] = (batch, position)
         except (
             subprocess.CalledProcessError,  # cached control-loop object build
             subprocess.TimeoutExpired,
             OSError,
-        ):
-            # Whole-batch infrastructure failure: fall back to the per-case
-            # path, which attributes build problems to the right case.
-            prepared.fallback = True
+        ) as exc:
+            prepared.failure = self._build_failure(backend, exc)
             return prepared
 
         # The pure-Python reference legs run while the native builds
@@ -653,19 +587,20 @@ class Oracle:
         cases = prepared.cases
         contexts = prepared.contexts
         verdicts = prepared.verdicts
-        if not prepared.fallback:
-            try:
-                for batch, _ in prepared.batches.values():
+        if prepared.failure is None:
+            for backend, (batch, _) in prepared.batches.items():
+                try:
                     batch.ensure_built()
-            except (
-                subprocess.CalledProcessError,
-                subprocess.TimeoutExpired,  # the batch build itself can time out
-                native.BatchExecutionError,
-                OSError,
-            ):
-                prepared.fallback = True
-        if prepared.fallback:
-            return self._check_batch_fallback(cases, verdicts)
+                except (
+                    subprocess.CalledProcessError,
+                    subprocess.TimeoutExpired,  # the build itself can time out
+                    native.BatchExecutionError,
+                    OSError,
+                ) as exc:
+                    prepared.failure = self._build_failure(backend, exc)
+                    break
+        if prepared.failure is not None:
+            return self._check_batch_fallback(prepared)
 
         for index in prepared.active:
             context = contexts[index]
@@ -692,10 +627,11 @@ class Oracle:
                     native_outcomes,
                     reference_legs=prepared.reference[index],
                 )
-            except native.BatchExecutionError:
-                verdicts[index] = self.check_case(
-                    cases[index].source, cases[index].name, inputs
-                )
+            except native.BatchExecutionError as exc:
+                if len(prepared.active) == 1:
+                    verdicts[index] = OracleError(f"native execution failed: {exc}")
+                else:
+                    verdicts[index] = self.check_batch([cases[index]])[0]
 
         # Instrumented C leg, last: report-only, so IO divergences keep
         # precedence and only still-clean cases are submitted.
@@ -710,16 +646,20 @@ class Oracle:
                 verdicts[clean[position]] = verdict
         return verdicts
 
-    def _check_batch_fallback(
-        self, cases: Sequence[CaseLike], verdicts: List[CaseVerdict]
-    ) -> List[CaseVerdict]:
-        for index, case in enumerate(cases):
-            if verdicts[index] is not None:
-                continue
-            try:
-                verdicts[index] = self.check_case(
-                    case.source, case.name, list(case.inputs)
-                )
-            except Exception as exc:
-                verdicts[index] = exc
+    def _build_failure(self, backend: str, exc: Exception) -> OracleError:
+        detail = native.toolchain_failure_detail(exc, self.workdir, 2000)
+        return OracleError(f"native build failed for {backend}-O0/O3: {detail}")
+
+    def _check_batch_fallback(self, prepared: PreparedBatch) -> List[CaseVerdict]:
+        """Re-check each pending case in a batch of its own, so a build
+        failure lands on the case that caused it; in a one-case batch the
+        failure is that case's verdict."""
+        for batch, _ in prepared.batches.values():
+            batch.close()
+        verdicts = prepared.verdicts
+        if len(prepared.active) == 1:
+            verdicts[prepared.active[0]] = prepared.failure
+            return verdicts
+        for index in prepared.active:
+            verdicts[index] = self.check_batch([prepared.cases[index]])[0]
         return verdicts

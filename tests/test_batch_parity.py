@@ -1,18 +1,22 @@
 """Batch/parallel parity: the throughput machinery must not change verdicts.
 
-The batched native path (``Oracle.check_batch`` / ``NativeBatch``) and the
-``--jobs N`` worker pool exist purely for speed; this module pins the
-acceptance property that a fixed-seed run through them produces verdicts
-identical to the sequential per-case path — including trap observations,
-and including the exact ``Divergence.describe()`` text when a (deterministic)
-miscompile is injected.
+Many cases share one fork-server batch (``Oracle.check_batch`` /
+``NativeBatch``) and the ``--jobs N`` worker pool shards campaigns; this
+module pins that a fixed-seed run through them produces the verdicts of
+one case per batch — including trap observations, and including the exact
+``Divergence.describe()`` text when a (deterministic) miscompile is
+injected.  The golden tables under ``tests/golden/execution/`` were
+recorded from the one-subprocess-per-leg harness the fork server replaced;
+the fork server must keep reproducing them byte for byte.
 """
 
+import json
 from dataclasses import dataclass
 from typing import List, Tuple
 
 import pytest
 
+import make_execution_golden as golden
 from repro.testing.fuzz import FuzzConfig, case_seed, run_campaign
 from repro.testing.generator import generate_case
 from repro.testing.oracle import Oracle
@@ -32,21 +36,8 @@ class _Case:
     inputs: List[Tuple]
 
 
-def _swap_first_addl(assembly: str) -> str:
-    """A *deterministic* injected miscompile (first ``addl`` -> ``subl``).
-
-    Unlike ``strip_cltd`` — whose misbehaviour reads whatever garbage %edx
-    happens to hold, and therefore legitimately differs between a fresh
-    process and a shared batch process — this transform corrupts results
-    deterministically, so even the post-divergence outcome lines must match
-    byte for byte between the batched and sequential paths.
-    """
-    lines = assembly.splitlines()
-    for index, line in enumerate(lines):
-        if line.strip().startswith("addl"):
-            lines[index] = line.replace("addl", "subl", 1)
-            break
-    return "\n".join(lines) + "\n"
+def _golden(filename: str):
+    return json.loads((golden.GOLDEN_DIR / filename).read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +74,8 @@ def test_check_batch_reports_parse_errors_per_case():
 
 @needs_toolchain
 def test_batched_verdicts_identical_to_sequential_fixed_seed():
-    """Clean fixed-seed cases: batch and per-case paths both report None,
-    and a case where every leg traps is equally clean on both."""
+    """Clean fixed-seed cases: one shared batch and one batch per case both
+    report None, and a case where every leg traps is equally clean."""
     oracle = Oracle(backends=("x86",))
     cases = [generate_case(case_seed(5, index), max_stmts=8) for index in range(20)]
     cases.append(
@@ -102,7 +93,7 @@ def test_batched_verdicts_identical_to_sequential_fixed_seed():
 
 @needs_toolchain
 def test_batched_divergences_byte_identical_under_deterministic_miscompile():
-    oracle = Oracle(backends=("x86",), asm_transform=_swap_first_addl)
+    oracle = Oracle(backends=("x86",), asm_transform=golden.swap_first_addl)
     cases = [generate_case(case_seed(0, index), max_stmts=8) for index in range(12)]
     batch_verdicts = oracle.check_batch(cases)
     divergences = 0
@@ -143,8 +134,8 @@ def test_batch_trap_resume_recovers_following_cases():
 
 @needs_toolchain
 def test_batch_globals_reset_between_input_vectors():
-    """Vectors share one process in a batch; globals must still start
-    pristine for every call, like the per-process sequential path."""
+    """Vectors share one server in a batch; globals must still start
+    pristine for every call, as they do for the interpreter."""
     source = """
 int acc = 5;
 
@@ -161,92 +152,93 @@ int bump(int k) {
 
 
 # ---------------------------------------------------------------------------
-# Fork-server parity (the subprocess harness is the reference)
+# Fork-server parity (tables recorded from the subprocess harness)
 # ---------------------------------------------------------------------------
 
 
 @needs_toolchain
 def test_forkserver_campaign_records_identical_to_subprocess():
-    """Fixed-seed campaign verdicts must not depend on the execution mode."""
-    fork = run_campaign(FuzzConfig(backends=("x86",), batch_size=8), 7, 16)
-    sub = run_campaign(
-        FuzzConfig(backends=("x86",), batch_size=8, fork_server=False), 7, 16
-    )
-    assert _records(fork) == _records(sub)
-    assert all(r.status == "ok" for r in fork)
+    """Fixed-seed campaign verdicts match the subprocess harness's record."""
+    records = golden.campaign_records()
+    assert records == _golden("campaign_seed7.json")
+    assert all(status == "ok" for _, _, status, _ in records)
 
 
 @needs_toolchain
 def test_forkserver_divergences_byte_identical_to_subprocess():
-    """Under a deterministic miscompile the two modes must produce the very
-    same ``Divergence.describe()`` text — same diverging leg, same values,
-    same report bytes."""
-    cases = [generate_case(case_seed(0, index), max_stmts=8) for index in range(12)]
-    fork_oracle = Oracle(
-        backends=("x86",), asm_transform=_swap_first_addl, fork_server=True
-    )
-    sub_oracle = Oracle(
-        backends=("x86",), asm_transform=_swap_first_addl, fork_server=False
-    )
-    fork_verdicts = fork_oracle.check_batch(cases)
-    sub_verdicts = sub_oracle.check_batch(cases)
-    divergences = 0
-    for fork_verdict, sub_verdict in zip(fork_verdicts, sub_verdicts):
-        assert not isinstance(fork_verdict, Exception), fork_verdict
-        assert not isinstance(sub_verdict, Exception), sub_verdict
-        assert (fork_verdict is None) == (sub_verdict is None)
-        if fork_verdict is not None:
-            divergences += 1
-            assert fork_verdict.describe() == sub_verdict.describe()
-    assert divergences >= 1, "deterministic miscompile produced no divergence"
+    """Under a deterministic miscompile the fork server produces the very
+    ``Divergence.describe()`` text the subprocess harness recorded — same
+    diverging leg, same values, same report bytes."""
+    texts = golden.swap_addl_divergences()
+    assert texts == _golden("swap_addl_divergences.json")
+    assert any(texts), "deterministic miscompile produced no divergence"
 
 
 @needs_toolchain
 def test_forkserver_outcomes_byte_identical_to_subprocess_with_traps():
-    """Every (case, input) outcome — ok values, trap attribution strings —
-    must match the subprocess reference byte for byte."""
+    """Every (case, input) outcome — ok values, pointer and global
+    contents, trap attribution strings, timeouts — matches the subprocess
+    harness's table byte for byte."""
+    rows = golden.native_outcomes()
+    assert rows == _golden("native_outcomes.json")
+    statuses = {row["status"] for row in rows}
+    assert statuses == {"ok", "trap", "limit"}
+    assert rows[0] == {"case": 0, "input": 0, "status": "trap", "detail": "exit status -8"}
+
+
+@needs_toolchain
+def test_unsupported_signature_fails_the_batch_naming_the_case():
+    """More than 6 integer parameters do not fit the trampoline: the batch
+    fails deterministically without building, naming the case."""
     import tempfile
     from pathlib import Path
 
-    trap = _Case("int f(int a) {\n    return 7 / a;\n}\n", "f", [(0,), (2,), (0,)])
-    clean = _Case("int g(int a) {\n    return a * 3;\n}\n", "g", [(1,), (-5,)])
-    glob = _Case(
-        "int acc = 2;\n\nint h(int k) {\n    acc += k;\n    return acc;\n}\n",
-        "h",
-        [(5,), (0,)],
-    )
-    cases = [trap, clean, glob]
+    from repro.testing.native import UnsupportedSignature
 
-    def outcomes(fork_server):
-        with tempfile.TemporaryDirectory() as tmp:
-            batch = NativeBatch(
-                [BatchCase(c.source, c.name, list(c.inputs)) for c in cases],
-                "O0",
-                Path(tmp),
-                fork_server=fork_server,
+    params = ", ".join(f"int a{i}" for i in range(7))
+    wide = BatchCase(f"int wide({params}) {{ return a6; }}", "wide", [tuple(range(7))])
+    narrow = BatchCase("int g(int a) { return a; }", "g", [(1,)])
+    with tempfile.TemporaryDirectory() as tmp:
+        batch = NativeBatch([narrow, wide], "O0", Path(tmp))
+        for _ in range(2):
+            with pytest.raises(UnsupportedSignature) as info:
+                batch.outcome(0, 0)
+            assert str(info.value) == (
+                "unsupported signature (wide: 7 integer and 0 double parameters; "
+                "the harness passes at most 6 of each)"
             )
-            assert batch.fork_server == fork_server
-            table = {}
-            for case_index, case in enumerate(cases):
-                for input_index in range(len(case.inputs)):
-                    status, payload = batch.outcome(case_index, input_index)
-                    if status == "ok":
-                        table[(case_index, input_index)] = (
-                            status,
-                            payload.return_value,
-                            list(payload.arg_values),
-                            dict(payload.globals),
-                        )
-                    else:
-                        table[(case_index, input_index)] = (status, str(payload))
-            return table
+        assert not list(Path(tmp).iterdir()), "nothing may be built"
 
-    fork_table = outcomes(True)
-    sub_table = outcomes(False)
-    assert fork_table == sub_table
-    assert fork_table[(0, 0)][0] == "trap"
-    assert "exit status" in fork_table[(0, 0)][1]
-    assert fork_table[(0, 1)] == ("ok", 3, [2], {})
+    oracle = Oracle(backends=("x86",))
+    verdicts = oracle.check_batch([narrow, wide])
+    assert verdicts[0] is None
+    assert str(verdicts[1]).startswith(
+        "native build failed for x86-O0/O3: unsupported signature (wide: "
+    )
+
+
+@needs_toolchain
+def test_build_failure_lands_on_the_case_that_caused_it():
+    """A batch that fails to build is re-checked one case per batch; the
+    one-case batch that still fails takes the failure as its verdict
+    instead of falling back again."""
+    from repro.testing.oracle import OracleError
+
+    def break_bad(assembly):
+        if "bad_fn" not in assembly:
+            return assembly
+        return assembly + "\t.text\n\tcall\tmc_missing_symbol\n"
+
+    good = _Case("int good_fn(int a) {\n    return a + 1;\n}\n", "good_fn", [(1,)])
+    bad = _Case("int bad_fn(int a) {\n    return a - 1;\n}\n", "bad_fn", [(1,)])
+    oracle = Oracle(backends=("x86",), asm_transform=break_bad)
+    verdicts = oracle.check_batch([good, bad, good])
+    assert verdicts[0] is None and verdicts[2] is None
+    assert isinstance(verdicts[1], OracleError)
+    assert str(verdicts[1]).startswith("native build failed for x86-O0/O3: ")
+    assert "mc_missing_symbol" in str(verdicts[1])
+    with pytest.raises(OracleError):
+        oracle.check_case(bad.source, bad.name, bad.inputs)
 
 
 @needs_toolchain
@@ -278,9 +270,7 @@ def test_forkserver_recovers_from_killed_server(monkeypatch):
             [BatchCase(c.source, c.name, list(c.inputs)) for c in cases],
             "O0",
             Path(tmp),
-            fork_server=True,
         )
-        assert batch.fork_server
         expected = {(0, 0): 11, (0, 1): 12, (0, 2): 13, (1, 0): 16, (1, 1): 25}
         for (case_index, input_index), value in expected.items():
             status, result = batch.outcome(case_index, input_index)
@@ -318,7 +308,6 @@ def test_forkserver_charges_pair_that_kills_server_every_time(monkeypatch):
             [BatchCase(c.source, c.name, list(c.inputs)) for c in cases],
             "O0",
             Path(tmp),
-            fork_server=True,
         )
         # Execution is lazy: the request table exists before any pair runs,
         # so the poison can target pair (0, 1) deterministically.
@@ -375,7 +364,7 @@ def test_batch_build_timeout_scales_with_pair_budget():
 
 
 @needs_toolchain
-def test_close_mid_execution_reaps_fork_server_group():
+def test_close_mid_execution_reaps_server_process_group():
     """Closing a batch while a pair is wedged in an infinite loop must
     kill the fork server's whole process group — server and forked child
     — and subsequent outcome() calls must raise, not hang."""
@@ -394,7 +383,6 @@ def test_close_mid_execution_reaps_fork_server_group():
             "O0",
             Path(tmp),
             run_timeout=120.0,
-            fork_server=True,
         )
         failure = []
 

@@ -3,14 +3,17 @@
 Pins the ISSUE's acceptance properties: every mutation with a certified
 ground-truth label must score to exactly its expected verdict (preserving
 -> ``io_equivalent``, breaking -> ``io_mismatch``/``trap``, invalid ->
-front-end verdicts), batch scoring must be byte-identical to the
-per-candidate reference path, and the JSON report must be stable under a
-fixed seed.
+front-end verdicts), the report must match the golden one recorded from
+the execution paths the fork server replaced, the gate's signature and
+external-call rules must give pinned verdicts, and the JSON report must be
+stable under a fixed seed.
 """
 
 import json
 
 import pytest
+
+import make_execution_golden as golden
 
 from repro.eval.dataset import (
     Observation,
@@ -18,7 +21,7 @@ from repro.eval.dataset import (
     classify_observations,
     generated_entries,
 )
-from repro.eval.mutate import Mutator
+from repro.eval.mutate import Candidate, Mutator
 from repro.eval.score import edit_similarity, score_candidates, score_dataset
 from repro.testing.native import have_native_toolchain
 
@@ -246,7 +249,7 @@ def test_edit_similarity_metric():
 @needs_toolchain
 def test_scorer_agrees_with_ground_truth_on_native():
     entries, sets = _small_dataset(seed=13, functions=5, candidates=6)
-    report = score_dataset(entries, sets, backend="x86", use_batch=True)
+    report = score_dataset(entries, sets, backend="x86")
     aggregate = report["aggregate"]
     assert aggregate["ground_truth_agreement"] == 1.0, aggregate["mismatches"]
     assert aggregate["candidates"] == 30
@@ -256,38 +259,137 @@ def test_scorer_agrees_with_ground_truth_on_native():
     assert set(aggregate["verdict_counts"]) & {"io_mismatch", "trap"}
 
 
+def _golden_report():
+    return json.loads((golden.GOLDEN_DIR / "score_seed17.json").read_text())
+
+
 @needs_toolchain
 def test_batch_scoring_is_byte_identical_to_per_candidate():
+    """Scoring one function at a time through ``score_candidates`` gives
+    the candidates of the seed-17 4x6 report recorded from the deleted
+    per-candidate path, byte for byte."""
+    expected = _golden_report()
     entries, sets = _small_dataset(seed=17, functions=4, candidates=6)
-    batched = score_dataset(entries, sets, backend="x86", use_batch=True)
-    sequential = score_dataset(entries, sets, backend="x86", use_batch=False)
-    batched["config"]["batched"] = None
-    sequential["config"]["batched"] = None
-    assert json.dumps(batched, sort_keys=True) == json.dumps(
-        sequential, sort_keys=True
-    )
+    singles = [
+        [score.to_json() for score in score_candidates(entry, candidates)]
+        for entry, candidates in zip(entries, sets)
+    ]
+    assert singles == [function["candidates"] for function in expected["functions"]]
 
 
 @needs_toolchain
 def test_every_execution_path_is_byte_identical():
-    """Fork-server groups, subprocess groups, per-candidate binaries and
-    sharded workers are interchangeable: same report bytes from all four."""
+    """Cross-function fork-server groups, in process and sharded over
+    workers, write the seed-17 4x6 report recorded from the deleted
+    per-candidate and subprocess-batch paths (which agreed byte for
+    byte)."""
+    expected = _golden_report()
     entries, sets = _small_dataset(seed=17, functions=4, candidates=6)
+    assert score_dataset(entries, sets, backend="x86") == expected
+    assert score_dataset(entries, sets, backend="x86", jobs=3) == expected
 
-    def comparable(report):
-        report["config"]["batched"] = None
-        report["config"]["fork_server"] = None
-        return json.dumps(report, sort_keys=True)
 
-    fork = comparable(score_dataset(entries, sets, backend="x86"))
-    sub = comparable(
-        score_dataset(entries, sets, backend="x86", fork_server=False)
+# ---------------------------------------------------------------------------
+# Scorer gate: signatures, external calls, toolchain failures
+# ---------------------------------------------------------------------------
+
+
+def _seed0_entry(index):
+    entries = generated_entries(0, index + 1, max_stmts=10, isas=("x86",), opt_levels=("O0",))
+    return entries[index]
+
+
+@pytest.mark.parametrize("backend", ["none", "x86"])
+def test_signature_mismatch_is_a_type_error_before_compiling(backend):
+    """A candidate whose parameters differ from the reference's in count or
+    class used to crash the scorer (four scalars against pointer
+    parameters) or read garbage registers (an extra parameter)."""
+    classes = _seed0_entry(0)  # (unsigned int, short *, unsigned long, unsigned short *)
+    scalars = "long fuzz_target(long a, long b, long c, long d) {\n    return a + b + c + d;\n}\n"
+    [score] = score_candidates(classes, [Candidate(scalars, "", "", "")], backend=backend)
+    assert (score.verdict, score.detail) == (
+        "type_error",
+        "signature does not match the reference: candidate takes "
+        "(integer, integer, integer, integer), reference takes "
+        "(integer, pointer, integer, pointer)",
     )
-    single = comparable(
-        score_dataset(entries, sets, backend="x86", use_batch=False)
+    arity = _seed0_entry(5)  # int fuzz_target(char p3)
+    extra = "int fuzz_target(char p3, int extra) {\n    return p3 + extra;\n}\n"
+    [score] = score_candidates(arity, [Candidate(extra, "", "", "")], backend=backend)
+    assert (score.verdict, score.detail) == (
+        "type_error",
+        "signature does not match the reference: candidate takes "
+        "(integer, integer), reference takes (integer)",
     )
-    sharded = comparable(score_dataset(entries, sets, backend="x86", jobs=3))
-    assert fork == sub == single == sharded
+    assert score.agreement is None
+
+
+@needs_toolchain
+def test_external_call_is_rejected_without_running(tmp_path):
+    """Calling a function the candidate does not define is a compile_error
+    decided at the gate: the call never links, so it never runs."""
+    entry = _seed0_entry(0)
+    marker = tmp_path / "x"
+    source = (
+        "int system(char *s);\n\n"
+        "long fuzz_target(unsigned int p3, short *q5, unsigned long p2, "
+        "unsigned short *q4) {\n"
+        f'    system("touch {marker}");\n'
+        "    return 0;\n}\n"
+    )
+    address_taken = (
+        "int system(char *s);\n\n"
+        "long fuzz_target(unsigned int p3, short *q5, unsigned long p2, "
+        "unsigned short *q4) {\n"
+        "    long f = (long)system;\n"
+        "    return f;\n}\n"
+    )
+    scores = score_candidates(
+        entry, [Candidate(source, "", "", ""), Candidate(address_taken, "", "", "")]
+    )
+    assert [(s.verdict, s.detail) for s in scores] == [
+        ("compile_error", "external call 'system'"),
+        ("compile_error", "external call 'system'"),
+    ]
+    assert not marker.exists()
+
+
+@needs_toolchain
+def test_toolchain_failure_detail_is_deterministic(monkeypatch):
+    """A link failure's detail must not carry gcc's random object names or
+    the run's working directory: two cold runs report the same bytes."""
+    from repro.testing.frontend import CaseContext
+
+    original = CaseContext.assembly
+
+    def unresolved(self, isa, opt_level):
+        return original(self, isa, opt_level) + "\t.text\n\tcall\tmc_missing_symbol\n"
+
+    monkeypatch.setattr(CaseContext, "assembly", unresolved)
+    entry = _seed0_entry(5)
+    candidate = Candidate(entry.source, "", "", "")
+    first = score_candidates(entry, [candidate])[0]
+    second = score_candidates(entry, [candidate])[0]
+    assert first.verdict == "compile_error"
+    assert first.detail.startswith("toolchain failed on the assembly: ")
+    assert "mc_missing_symbol" in first.detail
+    assert "<tmp>" in first.detail and "/tmp/" not in first.detail
+    assert (second.verdict, second.detail) == (first.verdict, first.detail)
+
+
+@needs_toolchain
+def test_unsupported_signature_is_a_compile_error():
+    """Seven integer parameters do not fit the fork server's trampoline:
+    the candidate is charged a deterministic compile_error naming it."""
+    params = ", ".join(f"int a{i}" for i in range(7))
+    source = f"int wide({params}) {{\n    return a0 + a6;\n}}\n"
+    entry = build_entry(source, "wide", [tuple(range(1, 8))], "wide-0", "corpus")
+    [score] = score_candidates(entry, [Candidate(source, "", "", "")])
+    assert (score.verdict, score.detail) == (
+        "compile_error",
+        "unsupported signature (wide: 7 integer and 0 double parameters; "
+        "the harness passes at most 6 of each)",
+    )
 
 
 @needs_toolchain
@@ -299,9 +401,7 @@ def test_report_is_stable_under_fixed_seed():
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
     # Schema pin: downstream consumers (CI artifact, bench) rely on these.
     assert first["schema"] == 1
-    assert set(first["config"]) == {
-        "backend", "opt_level", "batched", "fork_server", "lint"
-    }
+    assert set(first["config"]) == {"backend", "opt_level", "lint"}
     aggregate = first["aggregate"]
     assert set(aggregate) >= {
         "functions",

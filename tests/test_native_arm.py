@@ -12,7 +12,13 @@ Skipped cleanly when no AArch64 toolchain/emulator is available.
 import pytest
 
 from corpus import CORPUS
-from repro.testing.native import NativeFunction, have_arm_toolchain, values_equal
+from repro.testing.frontend import CaseContext
+from repro.testing.native import (
+    BatchCase,
+    NativeBatch,
+    have_arm_toolchain,
+    values_equal,
+)
 
 pytestmark = pytest.mark.skipif(
     not have_arm_toolchain(),
@@ -25,11 +31,27 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("native_arm")
 
 
+def _run_case(source, name, inputs, opt, workdir):
+    """(native, interpreter) observations for each input: the case runs
+    alone in a one-case fork-server batch."""
+    context = CaseContext(source, name)
+    with NativeBatch(
+        [BatchCase(source, name, list(inputs), context=context)],
+        opt,
+        workdir,
+        isa="arm",
+        tag=f"{name}_{opt}",
+    ) as batch:
+        for index in range(len(inputs)):
+            status, actual = batch.outcome(0, index)
+            assert status == "ok", f"{name}{inputs[index]} @ arm/{opt}: {status} {actual}"
+            yield actual, context.interpreter().run_function(name, inputs[index])
+
+
 def _check_entry(source, name, inputs, opt, workdir):
-    native = NativeFunction(source, name, inputs, opt, workdir, isa="arm")
-    for index in range(len(inputs)):
-        expected = native.expected(index)
-        actual = native.run(index)
+    for index, (actual, expected) in enumerate(
+        _run_case(source, name, inputs, opt, workdir)
+    ):
         if expected.return_value is not None:
             assert values_equal(actual.return_value, expected.return_value), (
                 f"{name}{inputs[index]} @ arm/{opt}: native returned "

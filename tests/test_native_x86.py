@@ -16,7 +16,13 @@ from pathlib import Path
 import pytest
 
 from corpus import CORPUS
-from repro.testing.native import NativeFunction, have_native_toolchain, values_equal
+from repro.testing.frontend import CaseContext
+from repro.testing.native import (
+    BatchCase,
+    NativeBatch,
+    have_native_toolchain,
+    values_equal,
+)
 
 pytestmark = pytest.mark.skipif(
     not have_native_toolchain(),
@@ -31,11 +37,26 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("native")
 
 
+def _run_case(source, name, inputs, opt, workdir):
+    """(native, interpreter) observations for each input: the case runs
+    alone in a one-case fork-server batch."""
+    context = CaseContext(source, name)
+    with NativeBatch(
+        [BatchCase(source, name, list(inputs), context=context)],
+        opt,
+        workdir,
+        tag=f"{name}_{opt}",
+    ) as batch:
+        for index in range(len(inputs)):
+            status, actual = batch.outcome(0, index)
+            assert status == "ok", f"{name}{inputs[index]} @ {opt}: {status} {actual}"
+            yield actual, context.interpreter().run_function(name, inputs[index])
+
+
 def _check_entry(source, name, inputs, opt, workdir):
-    native = NativeFunction(source, name, inputs, opt, workdir)
-    for index in range(len(inputs)):
-        expected = native.expected(index)
-        actual = native.run(index)
+    for index, (actual, expected) in enumerate(
+        _run_case(source, name, inputs, opt, workdir)
+    ):
         if expected.return_value is not None:
             assert values_equal(actual.return_value, expected.return_value), (
                 f"{name}{inputs[index]} @ {opt}: native returned "
@@ -72,10 +93,10 @@ int prod_div(int a, int b, int c) {
 """
     inputs = [(100000, 100000, 1000), (46341, 46341, 7)]
     for opt in ("O0", "O3"):
-        native = NativeFunction(source, "prod_div", inputs, opt, workdir)
-        for index in range(len(inputs)):
-            expected = native.expected(index).return_value
-            actual = native.run(index).return_value
+        runs = _run_case(source, "prod_div", inputs, opt, workdir)
+        for index, (native, interpreted) in enumerate(runs):
+            expected = interpreted.return_value
+            actual = native.return_value
             assert actual == expected, (
                 f"prod_div{inputs[index]} @ {opt}: native {actual} != "
                 f"interpreter {expected} (32-bit intermediate not wrapped?)"

@@ -39,7 +39,7 @@ def test_dir_lists_exports():
 
 
 def test_native_harness_public_api_surface():
-    """The native harnesses live in ``repro.testing.native`` (the
+    """The native harness lives in ``repro.testing.native`` (the
     ``tests/native_runner.py`` shim is gone); pin the public surface so a
     future relocation cannot silently break consumers again."""
     module = importlib.import_module("repro.testing.native")
@@ -47,8 +47,8 @@ def test_native_harness_public_api_surface():
         "BatchCase",
         "BatchExecutionError",
         "NativeBatch",
-        "NativeFunction",
         "NativeResult",
+        "UnsupportedSignature",
         "have_arm_toolchain",
         "have_native_toolchain",
         "values_equal",
@@ -59,7 +59,6 @@ def test_native_harness_public_api_surface():
     import repro.testing as testing_pkg
 
     assert testing_pkg.NativeBatch is module.NativeBatch
-    assert testing_pkg.NativeFunction is module.NativeFunction
 
 
 def test_eval_package_api_surface():
