@@ -11,9 +11,9 @@ on-disk store (default ``.repro-cache/``) shared by three cache layers:
   and certified candidate sets, keyed by their content, so warm runs load
   instead of regenerating and recompiling;
 * **compiled artifacts** — emitted candidate assembly and linked batch
-  binaries, keyed by the sha256 of the normalized token stream (or the
-  full generated translation units), the ISA, the opt level and the
-  cache schema version;
+  binaries, keyed by the raw source text, never lexed (or the full
+  generated translation units), the ISA, the opt level and the cache
+  schema version;
 * **verdict memos** — ``(candidate, reference, substrate) →``
   :class:`~repro.eval.score.CandidateScore` payloads, so one execution
   fans out to every byte-identical candidate, across rounds, beams and
@@ -88,29 +88,6 @@ def pipeline_fingerprint() -> str:
             digest.update(b"\x00")
         _fingerprint = digest.hexdigest()
     return _fingerprint
-
-
-def normalize_source(source: str) -> str:
-    """The token stream of ``source`` joined by single spaces.
-
-    Formatting-insensitive: two sources that lex identically normalize
-    identically, so reformatted candidates share artifacts and verdicts.
-    Sources the lexer rejects normalize to themselves prefixed with a
-    marker (they can still be cached — their verdicts are deterministic
-    too — but never collide with a lexable spelling).
-    """
-    from repro.lang.lexer import LexError, TokenKind, tokenize
-
-    try:
-        tokens = tokenize(source)
-    except LexError:
-        return "\x00unlexable\x00" + source
-    return " ".join(t.text for t in tokens if t.kind is not TokenKind.EOF)
-
-
-def source_digest(source: str) -> str:
-    """sha256 hex digest of the normalized token stream of ``source``."""
-    return hashlib.sha256(normalize_source(source).encode("utf-8")).hexdigest()
 
 
 def json_digest(payload: Any) -> str:
@@ -428,8 +405,6 @@ __all__ = [
     "describe_stats",
     "json_digest",
     "merge_stats",
-    "normalize_source",
     "open_cache",
     "pipeline_fingerprint",
-    "source_digest",
 ]

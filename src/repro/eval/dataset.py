@@ -40,13 +40,12 @@ import importlib.util
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.eval.cache import add_cache_arguments, cache_from_args, describe_stats
 from repro.lang.interpreter import CInterpreterError, RuntimeLimitExceeded
 from repro.lang.lexer import LexError
-from repro.lang.parser import ParseError, parse_program
-from repro.lang.typecheck import TypeChecker
+from repro.lang.parser import ParseError
 from repro.testing.frontend import CaseContext
 from repro.testing.fuzz import case_seed
 from repro.testing.generator import ProgramGenerator
@@ -107,6 +106,13 @@ class DatasetEntry:
     seed: Optional[int] = None
     context: Optional[CaseContext] = field(default=None, repr=False, compare=False)
 
+    def reference_context(self) -> CaseContext:
+        """The reference's :class:`CaseContext`, built from the source on
+        first use by entries loaded from JSON or the cache."""
+        if self.context is None:
+            self.context = CaseContext(self.source, self.name)
+        return self.context
+
     def to_json(self) -> Dict[str, Any]:
         return {
             "uid": self.uid,
@@ -125,27 +131,27 @@ class DatasetError(Exception):
     ground truth: it must compile everywhere and execute cleanly)."""
 
 
-def front_end_gate(source: str, name: str):
+def front_end_gate(source: str, name: str) -> Union[Tuple[str, str], CaseContext]:
     """Run parse -> typecheck on a candidate: the single source of truth
     for front-end verdicts.
 
     Returns ``(verdict, detail)`` — both strings — when the candidate dies
-    in the front end, else ``(program, checker)``.  Both the scorer and the
-    mutation certifier judge candidates through this one gate, so their
-    notions of ``parse_error``/``type_error`` cannot drift apart.
+    in the front end, else its :class:`CaseContext`.  Both the scorer and
+    the mutation certifier judge candidates through this one gate, so their
+    notions of ``parse_error``/``type_error`` cannot drift apart, and a
+    certified candidate carries its context on to the scorer.
     """
     try:
-        program = parse_program(source)
+        context = CaseContext(source, name)
     except (ParseError, LexError, RecursionError) as exc:
         return "parse_error", f"{type(exc).__name__}: {exc}"
-    if program.function(name) is None:
+    if context.program.function(name) is None:
         return "type_error", f"candidate does not define {name!r}"
-    checker = TypeChecker(program)
-    result = checker.check()
+    result = context.check_result
     if result.errors or not result.missing.is_empty():
         detail = result.errors[0] if result.errors else "unresolved symbols"
         return "type_error", str(detail)
-    return program, checker
+    return context
 
 
 def interpreter_observation(context: CaseContext, args: Tuple) -> Observation:
@@ -251,10 +257,10 @@ def _first_value_mismatch(ref: Observation, cand: Observation) -> Optional[str]:
 def entry_from_json(data: Dict[str, Any]) -> DatasetEntry:
     """Rebuild a :class:`DatasetEntry` from its :meth:`~DatasetEntry.to_json`.
 
-    The entry carries no :class:`CaseContext` (nothing downstream of the
-    dataset reads it — the scorer builds contexts for *candidates*), and
-    every observable field survives the JSON trip, so scoring a loaded
-    entry is byte-identical to scoring the freshly built one.
+    The entry carries no :class:`CaseContext` (its consumers rebuild it
+    on demand through :meth:`DatasetEntry.reference_context`), and every
+    observable field survives the JSON trip, so scoring a loaded entry is
+    byte-identical to scoring the freshly built one.
     """
     return DatasetEntry(
         uid=data["uid"],
@@ -296,11 +302,9 @@ def _entry_cache_key(
     isas: Sequence[str],
     opt_levels: Sequence[str],
 ) -> str:
-    from repro.eval.cache import source_digest
-
     return cache.key(
         "entry",
-        source_digest(source),
+        source,
         name,
         json.dumps([list(args) for args in inputs]),
         ",".join(isas),
@@ -324,10 +328,11 @@ def build_entry(
     """Materialise one triple: compile the grid, record the IO vectors.
 
     With ``cache`` (an :class:`repro.eval.cache.EvalCache`) the built
-    entry is stored content-addressed — keyed by the normalized source
-    token stream, the requested grid and the pipeline fingerprint — and a
-    later call with the same inputs loads it instead of compiling and
-    interpreting again.  ``uid``/``origin``/``seed`` are caller metadata
+    entry is stored content-addressed — keyed by the raw source text, the
+    requested grid and the pipeline fingerprint — and a later call with the
+    same inputs loads it instead of compiling and interpreting again.  A
+    reformatted source is a different key, so a hit always returns the
+    requested text.  ``uid``/``origin``/``seed`` are caller metadata
     and always come from the current call, not the cache.
     """
     key = None

@@ -33,10 +33,10 @@ from __future__ import annotations
 import copy
 import json
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 
-from repro.compiler.driver import CompileError, lower_for_backend
+from repro.compiler.driver import CompileError
 from repro.eval.dataset import (
     DatasetEntry,
     Observation,
@@ -91,13 +91,21 @@ _FLIPPED_SIGN: Dict[Tuple[int, bool], ct.IntType] = {
 
 @dataclass
 class Candidate:
-    """One pseudo-decompilation hypothesis with its certified ground truth."""
+    """One pseudo-decompilation hypothesis with its certified ground truth.
+
+    ``context`` is the front end that certified the text, when it survived
+    it; the scorer gates from it instead of running the front end again."""
 
     text: str
     label: str  # "preserving" | "breaking" | "invalid"
     kind: str  # which mutation produced it
     expected: str  # the exact verdict the scorer must emit
     detail: str = ""
+    context: Optional[CaseContext] = field(default=None, repr=False, compare=False)
+
+    def to_json(self) -> Dict[str, str]:
+        names = ("text", "label", "kind", "expected", "detail")
+        return {name: getattr(self, name) for name in names}
 
 
 class MutationError(Exception):
@@ -479,7 +487,13 @@ _BREAKING: List[Tuple[str, Callable]] = [
     ("bump_return", _mut_bump_return),
 ]
 
-_INVALID_KINDS = ("parse_break", "type_break", "compile_break")
+#: Invalid mutation kind -> the front-end verdict it must die with.
+_INVALID_VERDICTS: Dict[str, str] = {
+    "parse_break": "parse_error",
+    "type_break": "type_error",
+    "compile_break": "compile_error",
+}
+_INVALID_KINDS = tuple(_INVALID_VERDICTS)
 
 
 # ---------------------------------------------------------------------------
@@ -487,44 +501,30 @@ _INVALID_KINDS = ("parse_break", "type_break", "compile_break")
 # ---------------------------------------------------------------------------
 
 
-def _front_end(source: str, name: str):
-    """(program, checker) when the candidate survives parse + typecheck,
-    else the verdict string it dies with (the scorer's own gate)."""
-    gate = front_end_gate(source, name)
-    if isinstance(gate[0], str):
-        return gate[0]
-    return gate
-
-
-def _compiles(program: ast.Program, name: str, checker) -> bool:
-    try:
-        lower_for_backend(program, name=name, opt_level="O0", checker=checker)
-    except CompileError:
-        return False
-    return True
-
-
 def _certify_executable(
-    source: str, entry: DatasetEntry, label: str, allow_traps: bool = True
+    front: Union[Tuple[str, str], CaseContext],
+    entry: DatasetEntry,
+    label: str,
+    allow_traps: bool = True,
 ) -> Optional[Tuple[str, str]]:
     """(expected_verdict, detail) for a preserving/breaking mutant, or None
     when the label cannot be certified and the mutant must be discarded.
 
+    ``front`` is the mutant's :func:`front_end_gate` result.
     ``allow_traps=False`` rejects breaking mutants whose certified verdict
     is ``trap``: the interpreter's trap semantics (division by zero faults)
     match x86 hardware, but AArch64 defines integer division by zero to
     return 0, so trap ground truth does not transfer to the arm backend.
     """
-    front = _front_end(source, entry.name)
-    if isinstance(front, str):
+    if isinstance(front, tuple):
         return None  # the rewrite must survive the front end to carry a label
-    program, checker = front
-    if not _compiles(program, entry.name, checker):
+    try:
+        front.lowered("O0")
+    except CompileError:
         return None
-    context = CaseContext(source, entry.name, program=program, checker=checker)
     observations: List[Observation] = []
     for args in entry.inputs:
-        obs = interpreter_observation(context, args)
+        obs = interpreter_observation(front, args)
         if obs.status == "limit":
             return None  # e.g. a dropped decrement made the loop infinite
         observations.append(obs)
@@ -540,7 +540,7 @@ def _certify_executable(
 
     # Breaking: the difference must be visible through the native keyhole
     # (return value, pointer arguments, globals the candidate references).
-    visible = _observable_globals(program, entry.name)
+    visible = _observable_globals(front.program, entry.name)
     restricted = [_restrict_globals(obs, visible) for obs in observations]
     verdict, detail = classify_observations(entry.reference, restricted)
     allowed = ("trap", "io_mismatch") if allow_traps else ("io_mismatch",)
@@ -549,18 +549,20 @@ def _certify_executable(
     return verdict, detail
 
 
-def _certify_invalid(source: str, entry: DatasetEntry, kind: str) -> Optional[str]:
-    front = _front_end(source, entry.name)
-    if kind == "parse_break":
-        return "parse_error" if front == "parse_error" else None
-    if kind == "type_break":
-        return "type_error" if front == "type_error" else None
-    if isinstance(front, str):
-        return None
-    program, checker = front
-    if _compiles(program, entry.name, checker):
-        return None
-    return "compile_error"
+def _certify_invalid(
+    front: Union[Tuple[str, str], CaseContext], kind: str
+) -> Optional[Tuple[str, str]]:
+    """(expected_verdict, "") when an invalid mutant dies where ``kind``
+    says it must, else None."""
+    if isinstance(front, tuple):
+        verdict = front[0]
+    else:
+        try:
+            front.lowered("O0")
+            return None
+        except CompileError:
+            verdict = "compile_error"
+    return (verdict, "") if verdict == _INVALID_VERDICTS[kind] else None
 
 
 # ---------------------------------------------------------------------------
@@ -582,27 +584,19 @@ class Mutator:
         #: returns 0 on integer division by zero instead of faulting).
         self.allow_trap_labels = allow_trap_labels
 
-    def _mutation_source(self, entry: DatasetEntry) -> ast.Program:
-        """The annotated reference AST mutations are applied to (copies of).
-
-        The entry's context has already parsed and type-checked the
-        reference, so expression nodes carry their checked ``ctype`` —
-        which the commutation mutation uses to stay off pointer arithmetic.
-        Entries loaded from a dataset file or the entry cache carry no
-        context; re-front-ending the source reproduces it exactly.
-        """
-        if entry.context is None:
-            entry.context = CaseContext(entry.source, entry.name)
-        return entry.context.program
-
-    def _one(self, entry: DatasetEntry, label: str) -> Candidate:
-        reference = self._mutation_source(entry)
+    def _one(
+        self, entry: DatasetEntry, label: str, rejected: Set[Tuple[str, str, str]]
+    ) -> Candidate:
+        # Mutations edit copies of the checked reference AST: its expression
+        # nodes carry their ``ctype``, which the commutation mutation uses
+        # to stay off pointer arithmetic.
+        reference = entry.reference_context().program
         for _ in range(self.MAX_ATTEMPTS):
+            program = copy.deepcopy(reference)
+            func = program.function(entry.name)
+            assert func is not None
             if label == "invalid":
                 kind = self.rng.choice(_INVALID_KINDS)
-                program = copy.deepcopy(reference)
-                func = program.function(entry.name)
-                assert func is not None
                 if kind == "parse_break":
                     text, detail = _invalid_parse(entry.source, self.rng)
                 elif kind == "type_break":
@@ -611,29 +605,32 @@ class Mutator:
                 else:
                     detail = _invalid_compile(program, self.rng)
                     text = print_program(program)
-                expected = _certify_invalid(text, entry, kind)
-                if expected is None:
+            else:
+                kinds = _PRESERVING if label == "preserving" else _BREAKING
+                kind, mutation = self.rng.choice(kinds)
+                detail = mutation(program, func, self.rng)
+                if detail is None:
                     continue
-                return Candidate(text, label, kind, expected, detail)
-
-            kinds = _PRESERVING if label == "preserving" else _BREAKING
-            kind, mutation = self.rng.choice(kinds)
-            program = copy.deepcopy(reference)
-            func = program.function(entry.name)
-            assert func is not None
-            detail = mutation(program, func, self.rng)
-            if detail is None:
+                text = print_program(program)
+                if text == entry.source:
+                    continue
+            # Certification is a pure function of (label, kind, text) that
+            # draws no randomness, so a rejected repeat is skipped unjudged.
+            if (label, kind, text) in rejected:
                 continue
-            text = print_program(program)
-            if text == entry.source:
-                continue
-            certified = _certify_executable(
-                text, entry, label, allow_traps=self.allow_trap_labels
-            )
+            front = front_end_gate(text, entry.name)
+            if label == "invalid":
+                certified = _certify_invalid(front, kind)
+            else:
+                certified = _certify_executable(
+                    front, entry, label, allow_traps=self.allow_trap_labels
+                )
             if certified is None:
+                rejected.add((label, kind, text))
                 continue
             expected, certify_detail = certified
-            return Candidate(text, label, kind, expected, detail or certify_detail)
+            context = None if isinstance(front, tuple) else front
+            return Candidate(text, label, kind, expected, detail or certify_detail, context)
         raise MutationError(
             f"could not certify a {label!r} candidate for {entry.uid} "
             f"within {self.MAX_ATTEMPTS} attempts"
@@ -687,9 +684,10 @@ class Mutator:
             else:
                 labels.append("invalid")
         self.rng.shuffle(labels)
-        produced = [self._one(entry, label) for label in labels[:count]]
+        rejected: Set[Tuple[str, str, str]] = set()
+        produced = [self._one(entry, label, rejected) for label in labels[:count]]
         if cache is not None and key is not None:
-            cache.put("candidates", key, [vars(candidate) for candidate in produced])
+            cache.put("candidates", key, [candidate.to_json() for candidate in produced])
         return produced
 
 

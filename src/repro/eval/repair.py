@@ -43,7 +43,7 @@ import json
 import multiprocessing
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.eval.cache import (
@@ -434,16 +434,15 @@ def repair_campaign(
     active = [t for t in targets if t["status"] == "active"]
     if jobs > 1 and len(active) > 1:
         workers = min(jobs, len(active))
-        # Shard only the active targets round-robin; contexts cannot cross
-        # the process boundary (same rule as score_dataset --jobs).
+        # Shard only the active targets round-robin; each worker receives
+        # the entries its targets need (contexts pickle as their sources).
         shards: List[List[Dict[str, Any]]] = [[] for _ in range(workers)]
         for position, target in enumerate(active):
             shards[position % workers].append(target)
         payloads = []
         for shard in shards:
             needed = sorted({t["entry_uid"] for t in shard})
-            portable = [replace(entries_by_uid[uid], context=None) for uid in needed]
-            payloads.append((shard, portable, config, cache))
+            payloads.append((shard, [entries_by_uid[uid] for uid in needed], config, cache))
         with multiprocessing.Pool(processes=workers) as pool:
             finished = pool.map(_repair_worker, payloads)
         for _, summary in finished:

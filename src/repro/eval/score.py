@@ -53,7 +53,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -65,7 +65,6 @@ from repro.eval.cache import (
     cache_from_args,
     describe_stats,
     json_digest,
-    source_digest,
 )
 from repro.eval.dataset import (
     DatasetEntry,
@@ -232,13 +231,6 @@ def _signature(context: CaseContext) -> Tuple[str, ...]:
     )
 
 
-@lru_cache(maxsize=512)
-def _reference_signature(source: str, name: str) -> Tuple[str, ...]:
-    # Cached because entries loaded from JSON (the service's requests)
-    # carry no context, and every candidate set of a reference needs it.
-    return _signature(CaseContext(source, name))
-
-
 def _external_call(program: ast.Program) -> Optional[str]:
     """``compile_error`` detail for the first call that leaves the
     translation unit, or None.
@@ -270,7 +262,7 @@ def _external_call(program: ast.Program) -> Optional[str]:
 
 
 def _front_end_gate(
-    source: str,
+    candidate: Candidate,
     name: str,
     backend: str,
     opt_level: str,
@@ -279,24 +271,24 @@ def _front_end_gate(
 ) -> Union[Tuple[str, str], CaseContext]:
     """Run parse -> typecheck -> compile; (verdict, detail) on failure.
 
-    Parse/typecheck verdicts come from the shared
-    :func:`repro.eval.dataset.front_end_gate`, the same gate the mutation
-    certifier uses — by construction the two cannot disagree on a
-    candidate's front-end fate.  Two checks follow before anything
+    A certified candidate brings the :class:`CaseContext` the mutator got
+    from the shared :func:`repro.eval.dataset.front_end_gate`; any other
+    candidate goes through that gate here — by construction the two cannot
+    disagree on a candidate's front-end fate.  Two checks follow before anything
     compiles: the parameter list must match ``reference_signature`` (the
     reference's argument classes, see :func:`_signature`) or the verdict is
     ``type_error``, and the candidate may call only functions it defines
     (:func:`_external_call`) or the verdict is ``compile_error``.
 
     With ``cache`` the emitted assembly (or the compile error) is stored
-    keyed by the normalized token stream, so a warm run seeds the context
+    keyed by the candidate's raw text, so a warm run seeds the context
     instead of lowering and emitting again.
     """
-    gate = front_end_gate(source, name)
-    if isinstance(gate[0], str):
-        return gate
-    program, checker = gate
-    context = CaseContext(source, name, program=program, checker=checker)
+    context = candidate.context
+    if context is None:
+        context = front_end_gate(candidate.text, name)
+        if isinstance(context, tuple):
+            return context
     signature = _signature(context)
     if signature != reference_signature:
         return "type_error", (
@@ -304,13 +296,13 @@ def _front_end_gate(
             f"({', '.join(signature)}), reference takes "
             f"({', '.join(reference_signature)})"
         )
-    external = _external_call(program)
+    external = _external_call(context.program)
     if external is not None:
         return "compile_error", external
     isa = backend if backend != "none" else "x86"
     asm_key = None
     if cache is not None:
-        asm_key = cache.key("asm", source_digest(source), name, isa, opt_level)
+        asm_key = cache.key("asm", candidate.text, name, isa, opt_level)
         cached = cache.get("asm", asm_key)
         if cached is not None:
             if cached.get("error"):
@@ -329,12 +321,6 @@ def _front_end_gate(
     if cache is not None and asm_key is not None:
         cache.put("asm", asm_key, {"error": False, "text": assembly})
     return context
-
-
-def _interp_observations(
-    context: CaseContext, inputs: Sequence[Tuple]
-) -> List[Observation]:
-    return [interpreter_observation(context, tuple(args)) for args in inputs]
 
 
 def _native_outcome_to_observation(outcome: Tuple[str, Any]) -> Observation:
@@ -380,16 +366,12 @@ def _stage_candidates(
         and len(entry.inputs) > 0
         and all(obs.status == "ok" for obs in entry.reference)
     )
-    reference_signature = (
-        _signature(entry.context)
-        if entry.context is not None
-        else _reference_signature(entry.source, entry.name)
-    )
+    reference_signature = _signature(entry.reference_context())
     scores: List[CandidateScore] = []
     survivors: List[Tuple[int, CaseContext]] = []
     for index, candidate in enumerate(candidates):
         gate = _front_end_gate(
-            candidate.text, entry.name, backend, opt_level, reference_signature, cache
+            candidate, entry.name, backend, opt_level, reference_signature, cache
         )
         similarity = edit_similarity(candidate.text, entry.source)
         if isinstance(gate, tuple):
@@ -522,12 +504,6 @@ def _execute_one_case(
 # Whole-dataset scoring and the JSON report
 # ---------------------------------------------------------------------------
 
-#: Cap on gate survivors per cross-function native build (see
-#: :data:`repro.testing.native.DEFAULT_GROUP_CASES` — the grouping itself
-#: lives in :class:`repro.testing.native.GroupedBatchRunner` now, shared
-#: with the repair search).
-EVAL_GROUP_CASES = native.DEFAULT_GROUP_CASES
-
 
 def _score_entries(
     entries: Sequence[DatasetEntry],
@@ -542,9 +518,9 @@ def _score_entries(
     """One CandidateScore list per entry (the unit one ``--jobs`` worker runs).
 
     Gate survivors from *many* functions share one :class:`NativeBatch`
-    (up to :data:`EVAL_GROUP_CASES` per group) so the toolchain runs once
-    per group instead of once per function, and the next group's build is
-    launched before the current group is drained.  A group that fails to
+    (up to :data:`repro.testing.native.DEFAULT_GROUP_CASES` per group) so
+    the toolchain runs once per group instead of once per function, and the
+    next group's build is launched before the current group is drained.  A group that fails to
     build or run is re-run one survivor per batch, which charges the
     failure to the candidate that caused it.
 
@@ -561,7 +537,8 @@ def _score_entries(
     if backend == "none":
         for entry, (scores, survivors) in zip(entries, staged):
             observations = [
-                _interp_observations(context, entry.inputs) for _, context in survivors
+                [interpreter_observation(context, tuple(args)) for args in entry.inputs]
+                for _, context in survivors
             ]
             _finalize_scores(entry, scores, survivors, observations)
         return [scores for scores, _ in staged]
@@ -589,7 +566,7 @@ def _score_entries(
             opt_level,
             group_workdir,
             isa=backend,
-            group_cases=EVAL_GROUP_CASES,
+            group_cases=native.DEFAULT_GROUP_CASES,
             run_timeout=run_timeout,
             cache=cache,
         ) as runner:
@@ -758,11 +735,6 @@ def score_entry_sets(
     ]
 
 
-#: Backwards-compatible private alias (the repair search imported the seam
-#: under this name before it went public).
-_score_entries_cached = score_entry_sets
-
-
 def _entries_worker(payload):
     entries, candidate_sets, cache, kwargs = payload
     if cache is not None:
@@ -800,12 +772,10 @@ def score_dataset(
     }
     if jobs > 1 and len(entries) > 1:
         workers = min(jobs, len(entries))
-        # An entry's cached CaseContext holds interpreter state (closures)
-        # that cannot cross the process boundary; scoring never reads it,
-        # so workers receive context-free copies.
-        portable = [replace(entry, context=None) for entry in entries]
+        # Entry and candidate contexts pickle as their sources; each worker
+        # re-runs the front end on the ones it receives.
         shards = [
-            (list(portable[worker::workers]), list(candidate_sets[worker::workers]))
+            (list(entries[worker::workers]), list(candidate_sets[worker::workers]))
             for worker in range(workers)
         ]
         payloads = [(shard, sets, cache, score_kwargs) for shard, sets in shards]

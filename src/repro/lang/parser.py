@@ -13,6 +13,8 @@ type-inference engine.
 
 from __future__ import annotations
 
+import dataclasses
+from functools import lru_cache
 from typing import List, Optional, Set, Tuple
 
 from repro.lang import ast_nodes as ast
@@ -51,6 +53,13 @@ _TYPE_KEYWORDS = {
 }
 
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "<<=", ">>=", "&=", "|=", "^="}
+
+#: The deepest AST a program may have, in nodes on one root-to-leaf path.
+#: Typecheck, lint, lowering, the interpreter and ``copy.deepcopy`` all
+#: recurse over the tree; from a fresh thread the first to overflow
+#: Python's default recursion limit does so at a depth of about 160.  A
+#: deeper program is a ParseError, whatever the caller's stack depth.
+MAX_NESTING = 100
 
 
 class Parser:
@@ -276,7 +285,9 @@ class Parser:
             if self._accept_punct(";"):
                 continue
             decls.append(self._parse_top_level())
-        return ast.Program(decls)
+        program = ast.Program(decls)
+        _check_nesting(program)
+        return program
 
     def _parse_top_level(self) -> ast.Node:
         if self._check_keyword("typedef"):
@@ -672,6 +683,28 @@ class Parser:
             self._expect_punct(")")
             return expr
         raise ParseError(f"unexpected token {token.text!r} at line {token.line}")
+
+
+@lru_cache(maxsize=None)
+def _field_names(node_type: type) -> Tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(node_type))
+
+
+def _check_nesting(program: ast.Program) -> None:
+    """Raise ParseError when ``program`` is deeper than :data:`MAX_NESTING`
+    (children are read by field: ``vars()`` would materialize ``__dict__``)."""
+    level: List[ast.Node] = [program]
+    for _ in range(MAX_NESTING):
+        values = [getattr(node, name) for node in level for name in _field_names(type(node))]
+        level = [
+            child
+            for value in values
+            for child in (value if isinstance(value, list) else (value,))
+            if isinstance(child, ast.Node)
+        ]
+        if not level:
+            return
+    raise ParseError(f"program nests deeper than {MAX_NESTING} levels")
 
 
 def _const_int(expr: ast.Expr) -> Optional[int]:

@@ -21,9 +21,10 @@ result:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.compiler.driver import (
+    CompileError,
     LoweredFunction,
     emit_from_lowered,
     lower_for_backend,
@@ -74,9 +75,17 @@ class CaseContext:
             # this checker (the interpreter looks for this attribute).
             checker.resolve_cache = cache  # type: ignore[attr-defined]
         self._resolve_cache: Dict[ct.CType, ct.CType] = cache
-        self._lowered: Dict[str, LoweredFunction] = {}
+        self._lowered: Dict[str, Union[LoweredFunction, str]] = {}
         self._assembly: Dict[Tuple[str, str], str] = {}
         self._ir_cache: Optional[Dict] = None
+
+    def __reduce__(self):
+        # Pickled as its constructor arguments: the receiving process re-runs
+        # the front end instead of unpickling interpreter closures.
+        return (
+            CaseContext,
+            (self.source, self.name, None, None, self.verify_ir, self.ir_transform),
+        )
 
     # -- legs -----------------------------------------------------------------
 
@@ -85,18 +94,24 @@ class CaseContext:
         return Interpreter(self.program, checker=self.checker, **kwargs)
 
     def lowered(self, opt_level: str) -> LoweredFunction:
-        """The lowered (and, at -O3, IR-optimised) entry function."""
+        """The lowered (and, at -O3, IR-optimised) entry function; a
+        :class:`CompileError` is cached (as its message) and raised again."""
         cached = self._lowered.get(opt_level)
         if cached is None:
-            cached = lower_for_backend(
-                self.program,
-                name=self.name,
-                opt_level=opt_level,
-                checker=self.checker,
-                verify_ir=self.verify_ir,
-                ir_transform=self.ir_transform,
-            )
+            try:
+                cached = lower_for_backend(
+                    self.program,
+                    name=self.name,
+                    opt_level=opt_level,
+                    checker=self.checker,
+                    verify_ir=self.verify_ir,
+                    ir_transform=self.ir_transform,
+                )
+            except CompileError as exc:
+                cached = str(exc)
             self._lowered[opt_level] = cached
+        if isinstance(cached, str):
+            raise CompileError(cached)
         return cached
 
     def ir_cache(self) -> Dict:

@@ -22,15 +22,13 @@ from repro.eval.cache import (
     describe_stats,
     json_digest,
     merge_stats,
-    normalize_source,
     open_cache,
     pipeline_fingerprint,
-    source_digest,
 )
 from repro.eval.dataset import (
+    build_entry,
     dataset_from_json,
     dataset_to_json,
-    entry_from_json,
     generated_entries,
 )
 from repro.eval.mutate import Mutator
@@ -44,7 +42,7 @@ needs_toolchain = pytest.mark.skipif(
 
 
 # ---------------------------------------------------------------------------
-# Keys and normalization
+# Keys
 # ---------------------------------------------------------------------------
 
 
@@ -56,21 +54,6 @@ def test_keys_are_stable_and_distinct(tmp_path):
     # Keys are full sha256 digests (the fingerprint itself is one too).
     assert len(cache.key("x")) == 64
     assert len(pipeline_fingerprint()) == 64
-
-
-def test_normalize_source_is_formatting_insensitive():
-    a = "int f(int x) { return x + 1; }"
-    b = "int f(int x)\n{\n    return x   + 1;\n}\n"
-    assert normalize_source(a) == normalize_source(b)
-    assert source_digest(a) == source_digest(b)
-    # Different token streams stay distinct.
-    assert source_digest(a) != source_digest("int f(int x) { return x + 2; }")
-
-
-def test_normalize_source_unlexable_never_collides():
-    broken = "int f() { return `; }"
-    assert normalize_source(broken).startswith("\x00unlexable\x00")
-    assert normalize_source(broken) != normalize_source("int f ( ) { return ; }")
 
 
 def test_json_digest_is_order_canonical():
@@ -307,12 +290,30 @@ def test_entry_cache_hit_round_trips_through_builder(tmp_path):
     assert warm_cache.stats_summary()["layers"]["entry"]["hits"] == 1
 
 
+def test_warm_entry_build_returns_the_requested_source(tmp_path):
+    # Keys are the raw text: a reformatted reference is its own entry, so a
+    # warm build never hands back another spelling's source (which would
+    # change similarity, candidate keys and parse_break slices).
+    original = "int f(int a, int b) {\n return a + b;\n}"
+    alt = "int f(int a,int b){return a+b;}"
+    inputs = [(1, 2), (3, 4)]
+    cache = EvalCache(tmp_path)
+    first = build_entry(original, "f", inputs, "u1", "test", cache=cache)
+    second = build_entry(alt, "f", inputs, "u2", "test", cache=cache)
+    assert first.source == original
+    assert second.source == alt
+    warm = build_entry(alt, "f", inputs, "u3", "test", cache=EvalCache(tmp_path))
+    assert warm.source == alt
+    assert warm.to_json()["assembly"] == second.to_json()["assembly"]
+    assert cache.stats_summary()["layers"]["entry"]["hits"] == 0
+
+
 def test_loaded_entries_feed_the_mutator():
     [entry] = generated_entries(11, 1, max_stmts=5)
     [reloaded] = dataset_from_json(dataset_to_json([entry]))
     cold = Mutator(entry.seed).candidates(entry, 4)
     warm = Mutator(entry.seed).candidates(reloaded, 4)
-    assert [vars(c) for c in cold] == [vars(c) for c in warm]
+    assert [c.to_json() for c in cold] == [c.to_json() for c in warm]
 
 
 # ---------------------------------------------------------------------------

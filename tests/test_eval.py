@@ -10,10 +10,13 @@ stable under a fixed seed.
 """
 
 import json
+import pickle
 
 import pytest
 
 import make_execution_golden as golden
+
+from repro.compiler import driver
 
 from repro.eval.dataset import (
     Observation,
@@ -23,6 +26,8 @@ from repro.eval.dataset import (
 )
 from repro.eval.mutate import Candidate, Mutator
 from repro.eval.score import edit_similarity, score_candidates, score_dataset
+from repro.lang.parser import MAX_NESTING, Parser
+from repro.testing import frontend
 from repro.testing.native import have_native_toolchain
 
 needs_toolchain = pytest.mark.skipif(
@@ -207,6 +212,58 @@ def test_scores_carry_io_agreement():
                 assert "agreement" not in score.to_json()
 
 
+def test_certified_candidates_are_not_parsed_or_lowered_again(monkeypatch):
+    """A certified candidate carries the CaseContext the mutator built, so
+    scoring it at -O0 parses, type-checks and lowers nothing: only the
+    candidates that died in the front end (no context) are parsed again."""
+    [entry] = generated_entries(3, 1, max_stmts=8, isas=("x86",), opt_levels=("O0",))
+    candidates = Mutator(entry.seed).candidates(entry, 12)
+    carried = [c for c in candidates if c.context is not None]
+    bare = [c for c in candidates if c.context is None]
+    assert carried and bare
+    assert all(c.expected in ("parse_error", "type_error") for c in bare)
+
+    calls = {"parse": 0, "lower": 0}
+    parse_program = Parser.parse_program
+    lower_for_backend = driver.lower_for_backend
+
+    def counting_parse(self):
+        calls["parse"] += 1
+        return parse_program(self)
+
+    def counting_lower(*args, **kwargs):
+        calls["lower"] += 1
+        return lower_for_backend(*args, **kwargs)
+
+    monkeypatch.setattr(Parser, "parse_program", counting_parse)
+    monkeypatch.setattr(driver, "lower_for_backend", counting_lower)
+    monkeypatch.setattr(frontend, "lower_for_backend", counting_lower)
+    scores = score_candidates(entry, candidates, backend="none")
+    assert [s.verdict for s in scores] == [c.expected for c in candidates]
+    assert calls == {"parse": len(bare), "lower": 0}
+
+
+def test_case_context_pickles_as_its_source():
+    [entry] = generated_entries(3, 1, max_stmts=8, isas=("x86",), opt_levels=("O0",))
+    context = entry.reference_context()
+    context.interpreter().run_function(entry.name, entry.inputs[0])
+    copy = pickle.loads(pickle.dumps(context))
+    assert (copy.source, copy.name) == (context.source, context.name)
+    assert copy.program is not context.program
+    assert copy.assembly("x86", "O0") == entry.assembly["x86-O0"]
+
+
+def test_cold_parallel_scoring_matches_sequential():
+    """Freshly mutated candidates carry contexts into the ``--jobs`` pool;
+    the workers rebuild them from source and score byte-identically."""
+    entries, sets = _small_dataset(seed=17, functions=3, candidates=5)
+    assert any(c.context is not None for s in sets for c in s)
+    backend = "x86" if have_native_toolchain() else "none"
+    parallel = score_dataset(entries, sets, backend=backend, jobs=2)
+    sequential = score_dataset(entries, sets, backend=backend, jobs=1)
+    assert json.dumps(parallel) == json.dumps(sequential)
+
+
 def test_jobs_beyond_entry_count_and_empty_dataset():
     """``jobs`` larger than the entry count (including the zero-entry
     degenerate case) must neither crash nor change a single report byte."""
@@ -322,6 +379,24 @@ def test_signature_mismatch_is_a_type_error_before_compiling(backend):
         "(integer, integer), reference takes (integer)",
     )
     assert score.agreement is None
+
+
+@pytest.mark.parametrize("backend", ["none", pytest.param("x86", marks=needs_toolchain)])
+def test_long_operator_chain_is_a_parse_error(backend):
+    """A ``+`` chain of about 390 terms parses into a tree deep enough to
+    overflow typecheck's recursion; the parser's nesting limit turns it
+    into a parse_error instead of a RecursionError out of the scorer."""
+    reference = "int f(int a) { return a + 1; }"
+    entry = build_entry(reference, "f", [(1,), (7,)], "chain", "test", isas=("x86",))
+    deep = "int f(int a) { return a" + " + 1" * 400 + "; }"
+    shallow = "int f(int a) { return a" + " + 1" * (MAX_NESTING - 10) + "; }"
+    candidates = [Candidate(deep, "", "", ""), Candidate(shallow, "", "", "")]
+    scores = score_candidates(entry, candidates, backend=backend)
+    assert (scores[0].verdict, scores[0].detail) == (
+        "parse_error",
+        f"ParseError: program nests deeper than {MAX_NESTING} levels",
+    )
+    assert scores[1].verdict == "io_mismatch"
 
 
 @needs_toolchain

@@ -158,6 +158,16 @@ def test_unbuildable_reference_is_a_scoring_error_not_a_crash():
         assert client.score(_request())["candidates"][0]["verdict"] == "io_equivalent"
 
 
+def test_deeply_nested_candidate_is_a_verdict_not_a_crash():
+    """A candidate nested deeper than the parser's limit is answered with
+    200 and a parse_error verdict, from a service worker thread."""
+    deep = "int f(int a, int b) { return a" + " + 1" * 400 + "; }"
+    with _service() as (_, client):
+        response = client.score(_request(candidates=[deep, REFERENCE]))
+    verdicts = [c["verdict"] for c in response["candidates"]]
+    assert verdicts == ["parse_error", "io_equivalent"]
+
+
 def test_stats_schema_pin():
     with _service() as (_, client):
         client.score(_request())
